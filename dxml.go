@@ -118,8 +118,13 @@ type (
 	StreamMachine = stream.Machine
 	// StreamRunner consumes one document's SAX-style events.
 	StreamRunner = stream.Runner
-	// StreamHandler receives StartElement/Text/EndElement events.
+	// StreamHandler receives StartElement/Text/EndElement events; sources
+	// resolve each tag label to a StreamSym once (Resolve) and pass it
+	// to every StartElement of that label.
 	StreamHandler = stream.Handler
+	// StreamSym is a label resolved by a StreamHandler; for a
+	// StreamRunner, the machine-local index of the element label.
+	StreamSym = stream.Sym
 	// Feeder is the push-parser front-end: it accepts a document's bytes
 	// in arbitrary chunks (Feed) as a network delivers them; Close
 	// finalizes the verdict. Obtain one with StreamMachine.NewFeeder
@@ -544,6 +549,9 @@ var (
 	StreamXMLInner = stream.StreamXMLInner
 	// StreamTree feeds a materialized tree's events into a handler.
 	StreamTree = stream.StreamTree
+	// StreamTreeInner feeds the events below a tree's root (the forest a
+	// local fragment contributes at its docking point).
+	StreamTreeInner = stream.StreamTreeInner
 	// StreamKernel streams a kernel document's extension, pausing at each
 	// docking point for the caller to inject the fragment's events.
 	StreamKernel = stream.StreamKernel

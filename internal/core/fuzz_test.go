@@ -221,12 +221,17 @@ func TestFuzzDTDDesignSelfConsistency(t *testing.T) {
 				t.Fatalf("%s: perfect must be maximal local (err=%v)", label, err)
 			}
 		}
-		for _, wt := range d.MaximalLocalWordTypings() {
+		mls := d.MaximalLocalWordTypings()
+		for _, wt := range mls {
 			ty := d.TypingFromWords(wt)
 			ok, err := d.IsMaximalLocal(ty)
 			if err != nil || !ok {
 				t.Fatalf("%s: enumerated ml typing fails verification (err=%v)", label, err)
 			}
+		}
+		// Theorem 2.1: a perfect typing is the unique maximal local one.
+		if hasPerfect && len(mls) != 1 {
+			t.Fatalf("%s: perfect exists but %d maximal local typings (Thm 2.1)", label, len(mls))
 		}
 	}
 }

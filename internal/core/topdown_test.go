@@ -483,3 +483,50 @@ func TestDTDFunctionFreeNodeConstraints(t *testing.T) {
 		t.Errorf("f1 should be typed c*, differs on %v", w)
 	}
 }
+
+// TestMaximalLocalInnerNodeWithoutDockingPoint: a kernel node whose
+// children carry no function contributes the single empty typing to the
+// cross product of per-node maximal typings, not an empty set. Both
+// designs have a perfect typing, so by Theorem 2.1 there is exactly one
+// maximal local typing.
+func TestMaximalLocalInnerNodeWithoutDockingPoint(t *testing.T) {
+	dtd := &DTDDesign{
+		Type:   schema.MustParseDTD(schema.KindNRE, "root s\ns -> a b\na -> c?\nb -> ε"),
+		Kernel: axml.MustParseKernel("s(a(f1) b)"),
+	}
+	if _, ok := dtd.ExistsLocal(); !ok {
+		t.Fatal("DTD: ∃-loc should hold")
+	}
+	if _, ok := dtd.ExistsPerfect(); !ok {
+		t.Fatal("DTD: ∃-perf should hold")
+	}
+	mls := dtd.MaximalLocalWordTypings()
+	if len(mls) != 1 {
+		t.Fatalf("DTD: %d maximal local typings, want exactly 1 (Thm 2.1)", len(mls))
+	}
+	if ok, err := dtd.IsMaximalLocal(dtd.TypingFromWords(mls[0])); err != nil || !ok {
+		t.Fatalf("DTD: enumerated typing is not maximal local (err=%v)", err)
+	}
+
+	edtd := &EDTDDesign{
+		Type: schema.MustParseEDTD(schema.KindNRE, `
+			root s
+			s -> a1, a2
+			a1 : a -> c*
+			a2 : a -> d`),
+		Kernel: axml.MustParseKernel("s(a(f1) a(f2))"),
+	}
+	if _, ok, err := edtd.ExistsLocal(); err != nil || !ok {
+		t.Fatalf("EDTD: ∃-loc should hold (err=%v)", err)
+	}
+	if _, ok, err := edtd.ExistsPerfect(); err != nil || !ok {
+		t.Fatalf("EDTD: ∃-perf should hold (err=%v)", err)
+	}
+	typings, err := edtd.MaximalLocalTypings()
+	if err != nil || len(typings) != 1 {
+		t.Fatalf("EDTD: %d maximal local typings (err=%v), want exactly 1 (Thm 2.1)", len(typings), err)
+	}
+	if ok, err := edtd.IsMaximalLocal(typings[0]); err != nil || !ok {
+		t.Fatalf("EDTD: enumerated typing is not maximal local (err=%v)", err)
+	}
+}

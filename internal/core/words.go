@@ -275,13 +275,11 @@ func cellUnion(cells []Cell, selection []int) *strlang.NFA {
 // (Theorem 6.10), so the enumeration is complete for ∃-loc and ∃-ml.
 // Worst-case exponential, matching the problems' EXPSPACE upper bounds;
 // branches whose partial extension already falls outside the prefixes of
-// [A] are pruned.
+// [A] are pruned. A design with no functions has one candidate, the
+// empty typing, sound iff the kernel word alone is in [A].
 func (d *BoxDesign) soundTuples() [][][]int {
 	cells := d.Cells()
 	n := d.Kernel.NumFuncs()
-	if n == 0 {
-		return nil
-	}
 	// Prefix closure of the target: the trimmed automaton with every
 	// state final (all states are co-reachable after trimming).
 	pref, _ := d.Target.Trim()

@@ -29,6 +29,9 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// drain waits for the end frame, which is the condition the ring
+	// read below needs: the host taps every frame before writing it, so
+	// a frame the client has read is already in the host's ring.
 	drain(t, frag)
 	c.Close()
 

@@ -265,11 +265,13 @@ func (c *ctxHandler) check() error {
 	return nil
 }
 
-func (c *ctxHandler) StartElement(label string) error {
+func (c *ctxHandler) Resolve(label string) stream.Sym { return c.h.Resolve(label) }
+
+func (c *ctxHandler) StartElement(label string, sym stream.Sym) error {
 	if err := c.check(); err != nil {
 		return err
 	}
-	return c.h.StartElement(label)
+	return c.h.StartElement(label, sym)
 }
 
 func (c *ctxHandler) Text() error { c.n++; return c.h.Text() }

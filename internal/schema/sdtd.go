@@ -84,30 +84,6 @@ func (e *EDTD) ProjectedRule(name string) *strlang.NFA {
 	return projectNFA(e.Rule(name).Lang(), e.Elem)
 }
 
-// ChildWitnesses returns, for each specialized name ã, the map from
-// element name b to the unique specialization b̃ occurring usefully in
-// π(ã)'s alphabet — the precomputed specialized-name resolution that makes
-// single-type EDTDs streamable top-down (each child's witness is forced by
-// its label and its parent's witness). Only meaningful for single-type
-// EDTDs; for general EDTDs an element name may have several
-// specializations per rule and the table keeps an arbitrary one.
-func (e *EDTD) ChildWitnesses() map[string]map[string]string {
-	return e.witnessTable()
-}
-
-// SpecializationMap returns the full Σ̃(·) map: element name → sorted
-// specialized names mapping to it. It is the batch form of
-// Specializations, for consumers that need the whole table at once (the
-// streaming validator's general-EDTD subset tracking).
-func (e *EDTD) SpecializationMap() map[string][]string {
-	out := map[string][]string{}
-	for _, n := range e.SpecializedNames() {
-		el := e.Elem(n)
-		out[el] = append(out[el], n)
-	}
-	return out
-}
-
 // witnessTable returns, for each specialized name ã, the map from element
 // name b to the unique specialization b̃ occurring in π(ã)'s alphabet.
 // Only meaningful for single-type EDTDs.

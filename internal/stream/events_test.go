@@ -22,7 +22,7 @@ func TestRunnerEvents(t *testing.T) {
 	for _, ev := range []string{"r", "a", "", "a", ""} {
 		var err error
 		if ev != "" {
-			err = r.StartElement(ev)
+			err = startElement(r, ev)
 		} else {
 			err = r.EndElement()
 		}

@@ -37,7 +37,10 @@ const (
 //
 // Memory is O(chunk + depth): the tokenizer holds one partial tag name
 // (plus the open-element stack for end-tag matching); chunks are never
-// retained across Feed calls. Character data, attributes, comments,
+// retained across Feed calls. Each distinct start-tag spelling is
+// resolved through the handler once per Feeder and cached; an end tag is
+// matched against the open-element stack by comparing bytes, with no
+// name lookup at all. Character data, attributes, comments,
 // CDATA sections, processing instructions and DOCTYPE declarations are
 // scanned and dropped, matching the paper's structural abstraction and
 // the encoding/xml front-end's event stream on everything structural:
@@ -69,7 +72,7 @@ type Feeder struct {
 	depth       int                  // open elements
 	roots       int                  // top-level elements seen
 	stack       []string             // open-element raw names, for end-tag matching
-	labels      map[string]nameEntry // tag-name cache (zero-alloc lookups)
+	labels      map[string]nameEntry // start-tag name cache (zero-alloc lookups)
 }
 
 // NewFeeder returns a Feeder that pushes one document's events into h.
@@ -116,16 +119,20 @@ func (f *Feeder) Err() error { return f.err }
 // Depth returns the number of currently open elements.
 func (f *Feeder) Depth() int { return f.depth }
 
-// nameEntry is the cached form of one tag name: the raw spelling (used
-// for end-tag matching, prefix included, exactly as encoding/xml matches
-// full names) and the label forwarded to the handler (the part after a
-// namespace prefix, encoding/xml's Name.Local).
+// nameEntry is the cached form of one start-tag name: the raw spelling
+// (used for end-tag matching, prefix included, exactly as encoding/xml
+// matches full names), where the label forwarded to the handler starts
+// in it (past a namespace prefix: encoding/xml's Name.Local), and the
+// handler's symbol for that label.
 type nameEntry struct {
 	raw   string
-	label string
+	local int32
+	sym   Sym
 }
 
-// lookup resolves a raw tag name, allocation-free after the first
+func (e nameEntry) label() string { return e.raw[e.local:] }
+
+// lookup resolves a raw start-tag name, allocation-free after the first
 // occurrence of each distinct spelling.
 func (f *Feeder) lookup(raw []byte) nameEntry {
 	if e, ok := f.labels[string(raw)]; ok {
@@ -134,12 +141,12 @@ func (f *Feeder) lookup(raw []byte) nameEntry {
 	if f.labels == nil {
 		f.labels = make(map[string]nameEntry, 8)
 	}
-	r := string(raw)
-	e := nameEntry{raw: r, label: r}
+	e := nameEntry{raw: string(raw)}
 	if i := bytes.IndexByte(raw, ':'); i >= 0 {
-		e.label = r[i+1:]
+		e.local = int32(i + 1)
 	}
-	f.labels[r] = e
+	e.sym = f.h.Resolve(e.label())
+	f.labels[e.raw] = e
 	return e
 }
 
@@ -151,7 +158,7 @@ func (f *Feeder) open(e nameEntry) error {
 		f.roots++
 	}
 	if f.depth >= f.skip {
-		if err := f.h.StartElement(e.label); err != nil {
+		if err := f.h.StartElement(e.label(), e.sym); err != nil {
 			f.err = err
 			return err
 		}
@@ -161,13 +168,14 @@ func (f *Feeder) open(e nameEntry) error {
 	return nil
 }
 
-func (f *Feeder) close(e nameEntry) error {
+// close matches the raw end-tag name against the innermost open element.
+func (f *Feeder) close(raw []byte) error {
 	if f.depth == 0 {
-		return f.fatal("unbalanced end tag </%s>", e.raw)
+		return f.fatal("unbalanced end tag </%s>", raw)
 	}
 	top := f.stack[len(f.stack)-1]
-	if e.raw != top {
-		return f.fatal("mismatched end tag: </%s> closes <%s>", e.raw, top)
+	if string(raw) != top {
+		return f.fatal("mismatched end tag: </%s> closes <%s>", raw, top)
 	}
 	f.stack = f.stack[:len(f.stack)-1]
 	f.depth--
@@ -328,11 +336,10 @@ func (f *Feeder) Feed(p []byte) error {
 			if c != '>' {
 				return f.fatal("malformed self-closing tag <%s/%c", f.name, c)
 			}
-			e := f.lookup(f.name)
-			if err := f.open(e); err != nil {
+			if err := f.open(f.lookup(f.name)); err != nil {
 				return err
 			}
-			if err := f.close(e); err != nil {
+			if err := f.close(f.name); err != nil {
 				return err
 			}
 			f.state = fsText
@@ -349,7 +356,7 @@ func (f *Feeder) Feed(p []byte) error {
 			i++
 			switch {
 			case c == '>':
-				if err := f.close(f.lookup(f.name)); err != nil {
+				if err := f.close(f.name); err != nil {
 					return err
 				}
 				f.state = fsText
@@ -364,7 +371,7 @@ func (f *Feeder) Feed(p []byte) error {
 			i++
 			switch {
 			case c == '>':
-				if err := f.close(f.lookup(f.name)); err != nil {
+				if err := f.close(f.name); err != nil {
 					return err
 				}
 				f.state = fsText

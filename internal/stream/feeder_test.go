@@ -33,7 +33,7 @@ func decodeXMLEvents(r io.Reader, h Handler) error {
 				}
 				roots++
 			}
-			if err := h.StartElement(el.Name.Local); err != nil {
+			if err := startElement(h, el.Name.Local); err != nil {
 				return err
 			}
 			depth++
@@ -64,7 +64,9 @@ type countHandler struct {
 	labels              []string
 }
 
-func (c *countHandler) StartElement(label string) error {
+func (c *countHandler) Resolve(string) Sym { return NoSym }
+
+func (c *countHandler) StartElement(label string, _ Sym) error {
 	c.starts++
 	c.labels = append(c.labels, label)
 	return nil
@@ -269,7 +271,8 @@ func TestFeederChunkBoundaryInvariance(t *testing.T) {
 
 // TestFeederPrefixedEndTags pins end-tag matching on raw names (prefix
 // included, as encoding/xml matches) while labels reach the handler
-// prefix-stripped, and '<' inside a start tag is rejected.
+// prefix-stripped, and '<' inside a start tag is rejected — with the
+// same error text whether a name arrives whole or split across chunks.
 func TestFeederPrefixedEndTags(t *testing.T) {
 	var h countHandler
 	if err := feedBytes(&h, "<x:a><x:b/></x:a>", 1, false); err != nil {
@@ -278,14 +281,21 @@ func TestFeederPrefixedEndTags(t *testing.T) {
 	if fmt.Sprint(h.labels) != fmt.Sprint([]string{"a", "b"}) {
 		t.Errorf("labels = %v, want prefix-stripped [a b]", h.labels)
 	}
-	for _, src := range []string{
-		"<x:a></y:a>",  // mismatched prefixes (encoding/xml rejects)
-		"<x:a></a>",    // prefix dropped on close
-		"<a></x:a>",    // prefix added on close
-		"<a <b/>></a>", // '<' inside a start tag
+	for _, c := range []struct{ src, want string }{
+		// mismatched prefixes (encoding/xml rejects)
+		{"<x:a></y:a>", "stream: mismatched end tag: </y:a> closes <x:a>"},
+		// prefix dropped on close
+		{"<x:a></a>", "stream: mismatched end tag: </a> closes <x:a>"},
+		// prefix added on close
+		{"<a></x:a>", "stream: mismatched end tag: </x:a> closes <a>"},
+		{"</x:a>", "stream: unbalanced end tag </x:a>"},
+		// '<' inside a start tag
+		{"<a <b/>></a>", "stream: '<' inside start tag <a"},
 	} {
-		if err := feedBytes(&countHandler{}, src, 1, false); err == nil {
-			t.Errorf("feedBytes(%q) should fail", src)
+		for _, chunk := range []int{1, 3, len(c.src)} {
+			if err := feedBytes(&countHandler{}, c.src, chunk, false); err == nil || err.Error() != c.want {
+				t.Errorf("feedBytes(%q, chunk %d) = %v, want %q", c.src, chunk, err, c.want)
+			}
 		}
 	}
 }

@@ -65,7 +65,7 @@ type incNode struct {
 	slot   bool // docking-point slot: contributes its children, not itself
 
 	label string
-	lid   int32 // interned label id, -1 when the label is foreign
+	sym   Sym // machine-local label, NoSym when the label is foreign
 
 	kids []*incNode
 	wits []int32 // admissible specializations, in machine candidate order
@@ -101,7 +101,7 @@ func (m *Machine) NewKernelIncremental(k *axml.Kernel, frags map[string]*xmltree
 	rec = func(t *xmltree.Tree, parent *incNode) *incNode {
 		if k.IsFunc(t.Label) {
 			frag := frags[t.Label]
-			slot := &incNode{parent: parent, slot: true, label: frag.Label, lid: -1}
+			slot := &incNode{parent: parent, slot: true, label: frag.Label, sym: NoSym}
 			for i, c := range frag.Children {
 				kid := inc.build(c, slot)
 				kid.idx = i
@@ -112,7 +112,7 @@ func (m *Machine) NewKernelIncremental(k *axml.Kernel, frags map[string]*xmltree
 			inc.slots[t.Label] = slot
 			return slot
 		}
-		n := &incNode{parent: parent, label: t.Label, lid: lookupLabel(t.Label), nodes: 1, bytes: ownBytes(t.Label)}
+		n := &incNode{parent: parent, label: t.Label, sym: m.resolve(t.Label), nodes: 1, bytes: ownBytes(t.Label)}
 		for i, c := range t.Children {
 			kid := rec(c, n)
 			kid.idx = i
@@ -129,17 +129,10 @@ func (m *Machine) NewKernelIncremental(k *axml.Kernel, frags map[string]*xmltree
 	return inc, nil
 }
 
-func lookupLabel(label string) int32 {
-	if lid, ok := strlang.LookupSymID(label); ok {
-		return lid
-	}
-	return -1
-}
-
 // build constructs the shadow of t bottom-up, computing witness sets as
 // it goes and charging every built node to the edit's recheck cost.
 func (inc *Incremental) build(t *xmltree.Tree, parent *incNode) *incNode {
-	n := &incNode{parent: parent, label: t.Label, lid: lookupLabel(t.Label), nodes: 1, bytes: ownBytes(t.Label)}
+	n := &incNode{parent: parent, label: t.Label, sym: inc.m.resolve(t.Label), nodes: 1, bytes: ownBytes(t.Label)}
 	for i, c := range t.Children {
 		kid := inc.build(c, n)
 		kid.idx = i
@@ -158,7 +151,7 @@ func (inc *Incremental) build(t *xmltree.Tree, parent *incNode) *incNode {
 // word in place.
 func (inc *Incremental) computeWits(n *incNode) []int32 {
 	out := inc.witScratch[:0]
-	if n.lid >= 0 {
+	if n.sym != NoSym {
 		if inc.m.singleType {
 			out = inc.witsSingle(out, n)
 		} else {
@@ -195,25 +188,17 @@ func eachContentChild(n *incNode, f func(c *incNode) bool) bool {
 // forced word is accepted.
 func (inc *Incremental) witsSingle(out []int32, n *incNode) []int32 {
 	m := inc.m
-	for _, w := range m.specsByElem[n.lid] {
+	for _, w := range m.specsByLabel[n.sym] {
 		prog := &m.progs[w]
 		state := prog.start
-		ok := true
-		eachContentChild(n, func(c *incNode) bool {
-			ref, exists := prog.child[c.lid]
-			if !exists || !containsInt32(c.wits, ref.name) {
-				ok = false
+		ok := eachContentChild(n, func(c *incNode) bool {
+			if c.sym == NoSym || prog.child[c.sym] < 0 || !containsInt32(c.wits, prog.child[c.sym]) {
 				return false
 			}
-			next, stepped := prog.dfa.NextID(int(state), ref.sym)
-			if !stepped {
-				ok = false
-				return false
-			}
-			state = int32(next)
-			return true
+			state = m.step(prog, state, c.sym)
+			return state >= 0
 		})
-		if ok && prog.dfa.IsFinal(int(state)) {
+		if ok && prog.final[state] {
 			out = append(out, w)
 		}
 	}
@@ -228,7 +213,7 @@ func (inc *Incremental) witsGeneral(out []int32, n *incNode) []int32 {
 	if inc.tmp == nil {
 		inc.tmp, inc.setA, inc.setB = strlang.NewIntSet(), strlang.NewIntSet(), strlang.NewIntSet()
 	}
-	for _, w := range m.specsByElem[n.lid] {
+	for _, w := range m.specsByLabel[n.sym] {
 		g := &m.gen[w]
 		cur := g.startClos // shared, read-only
 		own := inc.setA
@@ -423,7 +408,7 @@ func (inc *Incremental) Replace(fn string, path []int, t *xmltree.Tree) error {
 	// If the replacement contributes the same symbol and witness set as
 	// the node it replaced, no ancestor's content word changed: the
 	// chain is pure aggregate arithmetic.
-	same := fresh.lid == v.lid && int32sEqual(fresh.wits, v.wits)
+	same := fresh.sym == v.sym && int32sEqual(fresh.wits, v.wits)
 	inc.refreshUp(parent, fresh.nodes-v.nodes, fresh.bytes-v.bytes, !same)
 	inc.finishEdit()
 	return nil

@@ -12,7 +12,7 @@ import (
 // stream as themselves, and at each docking point fi the walk pauses and
 // hands control to fragment, which must inject the events of the forest
 // replacing fi (typically via StreamXMLInner over a received fragment, or
-// xmltree.Tree.EmitChildEvents over a local one). This is how the kernel
+// StreamTreeInner over a local one). This is how the kernel
 // peer validates the whole distributed document in one pass, with memory
 // proportional to its depth, never calling Kernel.Extend.
 func StreamKernel(k *axml.Kernel, h Handler, fragment func(fn string, h Handler) error) error {
@@ -24,7 +24,7 @@ func StreamKernel(k *axml.Kernel, h Handler, fragment func(fn string, h Handler)
 			}
 			return nil
 		}
-		if err := h.StartElement(n.Label); err != nil {
+		if err := startElement(h, n.Label); err != nil {
 			return err
 		}
 		for _, c := range n.Children {

@@ -11,7 +11,7 @@ import (
 // witness and the running state of its content DFA.
 type stFrame struct {
 	name  int32 // machine-local index of the witness
-	lid   int32 // interned element-label id (for error paths)
+	sym   Sym   // element label (for error paths)
 	state int32 // current content-DFA state
 }
 
@@ -26,7 +26,7 @@ type stFrame struct {
 // reuse, so the slow path performs no per-child heap allocation once the
 // runner has warmed to the document's depth and candidate width.
 type genFrame struct {
-	lid     int32
+	sym     Sym
 	cands   []int32
 	runs    []strlang.IntSet
 	scratch []strlang.IntSet
@@ -75,17 +75,17 @@ func (r *Runner) Depth() int {
 // extra (when non-empty).
 func (r *Runner) path(extra string) string {
 	var b strings.Builder
-	write := func(lid int32) {
+	write := func(sym Sym) {
 		b.WriteByte('/')
-		b.WriteString(strlang.SymbolName(lid))
+		b.WriteString(r.m.labels[sym])
 	}
 	if r.m.singleType {
 		for _, f := range r.st {
-			write(f.lid)
+			write(f.sym)
 		}
 	} else {
 		for _, f := range r.gst {
-			write(f.lid)
+			write(f.sym)
 		}
 	}
 	if extra != "" {
@@ -115,8 +115,15 @@ func (r *Runner) Err() error { return r.err }
 // denominator for events/sec telemetry.
 func (r *Runner) Events() int64 { return r.events }
 
-// StartElement consumes an element-open event.
-func (r *Runner) StartElement(label string) error {
+// Resolve returns the machine-local symbol of label, NoSym if the
+// machine does not know it. Any number of runners of one machine may
+// resolve concurrently: the tables are read-only.
+func (r *Runner) Resolve(label string) Sym { return r.m.resolve(label) }
+
+// StartElement consumes an element-open event. sym must be
+// r.Resolve(label); a symbol outside the machine's tables counts as an
+// unknown label.
+func (r *Runner) StartElement(label string, sym Sym) error {
 	r.events++
 	if r.err != nil {
 		return r.err
@@ -124,58 +131,53 @@ func (r *Runner) StartElement(label string) error {
 	if r.done {
 		return r.fail("unexpected second root <%s>", label)
 	}
-	lid, known := strlang.LookupSymID(label)
-	if r.m.singleType {
-		return r.startSingle(label, lid, known)
+	if !r.m.known(sym) {
+		sym = NoSym
 	}
-	return r.startGeneral(label, lid, known)
+	if r.m.singleType {
+		return r.startSingle(label, sym)
+	}
+	return r.startGeneral(label, sym)
 }
 
-func (r *Runner) startSingle(label string, lid int32, known bool) error {
+func (r *Runner) startSingle(label string, sym Sym) error {
 	if len(r.st) == 0 {
-		if !known {
+		if sym == NoSym || len(r.m.startsByLabel[sym]) == 0 {
 			return r.fail("root <%s> matches no start", label)
 		}
-		name, ok := r.m.startByElem[lid]
-		if !ok {
-			return r.fail("root <%s> matches no start", label)
-		}
-		r.st = append(r.st, stFrame{name: name, lid: lid, state: r.m.progs[name].start})
+		name := r.m.startsByLabel[sym][0] // single-type: the only one
+		r.st = append(r.st, stFrame{name: name, sym: sym, state: r.m.progs[name].start})
 		return nil
 	}
 	top := &r.st[len(r.st)-1]
 	prog := &r.m.progs[top.name]
-	if !known {
+	if sym == NoSym || prog.child[sym] < 0 {
 		return r.fail("at %s: child <%s> not allowed under witness %s",
 			r.path(""), label, r.m.names[top.name])
 	}
-	ref, ok := prog.child[lid]
-	if !ok {
-		return r.fail("at %s: child <%s> not allowed under witness %s",
-			r.path(""), label, r.m.names[top.name])
-	}
-	next, ok := prog.dfa.NextID(int(top.state), ref.sym)
-	if !ok {
+	next := r.m.step(prog, top.state, sym)
+	if next < 0 {
 		return r.fail("at %s: child <%s> violates π(%s)",
 			r.path(""), label, r.m.names[top.name])
 	}
-	top.state = int32(next)
-	r.st = append(r.st, stFrame{name: ref.name, lid: lid, state: r.m.progs[ref.name].start})
+	top.state = next
+	child := prog.child[sym]
+	r.st = append(r.st, stFrame{name: child, sym: sym, state: r.m.progs[child].start})
 	return nil
 }
 
-func (r *Runner) startGeneral(label string, lid int32, known bool) error {
+func (r *Runner) startGeneral(label string, sym Sym) error {
 	var cands []int32
 	if len(r.gst) == 0 {
-		if known {
-			cands = r.m.startsByElem[lid]
+		if sym != NoSym {
+			cands = r.m.startsByLabel[sym]
 		}
 		if len(cands) == 0 {
 			return r.fail("root <%s> matches no start", label)
 		}
 	} else {
-		if known {
-			cands = r.m.specsByElem[lid]
+		if sym != NoSym {
+			cands = r.m.specsByLabel[sym]
 		}
 		if len(cands) == 0 {
 			return r.fail("at %s: element <%s> has no specialization", r.path(""), label)
@@ -188,7 +190,7 @@ func (r *Runner) startGeneral(label string, lid int32, known bool) error {
 		r.gst = append(r.gst, genFrame{})
 	}
 	f := &r.gst[len(r.gst)-1]
-	f.lid = lid
+	f.sym = sym
 	f.cands = append(f.cands[:0], cands...)
 	f.runs = f.runs[:0]
 	for _, n := range cands {
@@ -219,9 +221,10 @@ func (r *Runner) endSingle() error {
 	}
 	f := r.st[len(r.st)-1]
 	r.st = r.st[:len(r.st)-1]
-	if !r.m.progs[f.name].dfa.IsFinal(int(f.state)) {
+	if !r.m.progs[f.name].final[f.state] {
+		label := r.m.labels[f.sym]
 		return r.fail("at %s: children of <%s> form no word of π(%s)",
-			r.path(strlang.SymbolName(f.lid)), strlang.SymbolName(f.lid), r.m.names[f.name])
+			r.path(label), label, r.m.names[f.name])
 	}
 	if len(r.st) == 0 {
 		r.done = true
@@ -241,7 +244,7 @@ func (r *Runner) endGeneral() error {
 			r.surv = append(r.surv, n)
 		}
 	}
-	label := strlang.SymbolName(f.lid)
+	label := r.m.labels[f.sym]
 	r.gst = r.gst[:len(r.gst)-1]
 	if len(r.surv) == 0 {
 		return r.fail("at %s: subtree of <%s> admits no witness",

@@ -71,9 +71,27 @@ func StreamXMLInner(r io.Reader, h Handler) error {
 	return FeedReader(NewInnerFeeder(h), r, 0)
 }
 
-// StreamTree feeds the events of an in-memory tree into h.
+// StreamTree feeds the events of an in-memory tree into h, resolving each
+// node's label through h.
 func StreamTree(t *xmltree.Tree, h Handler) error {
-	return t.EmitEvents(h.StartElement, h.EndElement)
+	if err := startElement(h, t.Label); err != nil {
+		return err
+	}
+	if err := StreamTreeInner(t, h); err != nil {
+		return err
+	}
+	return h.EndElement()
+}
+
+// StreamTreeInner feeds the events of t's children only — the forest a
+// local fragment contributes at its docking point — skipping t itself.
+func StreamTreeInner(t *xmltree.Tree, h Handler) error {
+	for _, c := range t.Children {
+		if err := StreamTree(c, h); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ValidateReader validates one XML document from r in a single pass,

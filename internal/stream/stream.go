@@ -18,9 +18,10 @@
 // specialized name is determined by its label, and each child's by its
 // label plus its parent's witness. A single left-to-right pass suffices —
 // each open element carries one precompiled content-DFA state, stepped
-// O(log k) per child by interned symbol id (k = the state's out-degree),
-// and acceptance is checked when the element closes. Peak memory is one
-// small frame per open element: O(depth).
+// in O(1) per child through a flat table indexed by state and the child's
+// machine-local label symbol (resolved once per distinct tag spelling by
+// the push parser), and acceptance is checked when the element closes.
+// Peak memory is one small frame per open element: O(depth).
 //
 // # Limits for general EDTDs
 //
@@ -68,12 +69,27 @@ import (
 	"dxml/internal/strlang"
 )
 
+// Sym is a tag label resolved by a Handler (Handler.Resolve). For a
+// Runner it is the machine-local dense index of the element label, which
+// indexes the compiled tables directly; NoSym marks a label the machine
+// does not know.
+type Sym int32
+
+// NoSym is the symbol of a label the handler does not know.
+const NoSym Sym = -1
+
 // Handler receives SAX-style structural events. Implementations must
 // return a non-nil error to stop the source; Runner returns its sticky
 // validation error.
 type Handler interface {
-	// StartElement opens an element with the given label.
-	StartElement(label string) error
+	// Resolve maps an element label to the handler's symbol for it. It
+	// must be safe to call at any time and must not depend on the
+	// events seen so far: sources resolve each distinct tag spelling
+	// once and hand the cached symbol to every StartElement of it.
+	Resolve(label string) Sym
+	// StartElement opens an element with the given label; sym is
+	// Resolve(label).
+	StartElement(label string, sym Sym) error
 	// Text reports character data. The paper's structural abstraction
 	// ignores it; Runner accepts and discards it.
 	Text() error
@@ -81,22 +97,25 @@ type Handler interface {
 	EndElement() error
 }
 
-// childRef resolves an element label inside one content model of a
-// single-type EDTD: the forced child witness and the interned symbol id
-// to step the parent's content DFA by.
-type childRef struct {
-	name int32 // machine-local index of the child's specialized name
-	sym  int32 // interned id of the specialized-name symbol
+// startElement resolves label and opens it: the path of sources that
+// hold labels rather than cached symbols (tree and kernel walkers).
+func startElement(h Handler, label string) error {
+	return h.StartElement(label, h.Resolve(label))
 }
 
 // stProg is the compiled per-specialized-name program of the single-type
-// fast path.
+// fast path: the name's minimal content DFA re-keyed by element label.
+// Inside one content model of a single-type EDTD every label forces one
+// child witness, so the DFA's specialized-name symbols and the labels
+// are in one-to-one correspondence and a child steps by two slice loads.
 type stProg struct {
-	// dfa is the minimal content DFA over specialized-name symbol ids.
-	dfa   *strlang.DFA
 	start int32
-	// child maps interned element-label ids to the forced witness.
-	child map[int32]childRef
+	// child maps a label to its forced child witness (a machine-local
+	// name index), -1 where the content model has none.
+	child []int32
+	// next is δ as a flat [state*labels+label] table, -1 where undefined.
+	next  []int32
+	final []bool
 }
 
 // genProg is the per-specialized-name program of the general-EDTD subset
@@ -118,56 +137,63 @@ type Machine struct {
 	singleType bool
 	names      []string // specialized names, machine-local index order
 
-	// Single-type fast path.
-	progs       []stProg
-	startByElem map[int32]int32 // element-label id → start name index
+	// labels are the element labels, Sym order; labelIdx inverts them.
+	// Both are read-only after Compile, so resolving takes no lock.
+	labels   []string
+	labelIdx map[string]Sym
 
-	// General-EDTD subset tracking.
-	gen          []genProg
-	specsByElem  map[int32][]int32 // element-label id → candidate name indices
-	startsByElem map[int32][]int32 // element-label id → start name indices
-
-	// starts is the set of start name indices, uniform across both
-	// paths — the incremental revalidator's root acceptance check.
+	// Candidate specializations and start names per label, in name
+	// order (Σ̃(·) restricted to the starts, and Σ̃(·) itself).
+	startsByLabel [][]int32
+	specsByLabel  [][]int32
+	// starts is the set of start name indices — the incremental
+	// revalidator's root acceptance check.
 	starts []int32
+
+	progs []stProg  // single-type fast path
+	gen   []genProg // general-EDTD subset tracking
 
 	pool sync.Pool
 }
 
 // Compile builds the streaming Machine for e. Single-type EDTDs (checked
 // with EDTD.IsSingleType) get the deterministic DFA fast path; general
-// EDTDs get the subset tracker. The compilation interns every element
-// and specialized name and primes all automaton caches, so the returned
-// Machine performs no writes to shared state while running.
+// EDTDs get the subset tracker. The compilation interns every specialized
+// name and primes all automaton caches, so the returned Machine performs
+// no writes to shared state while running.
 func Compile(e *schema.EDTD) *Machine {
 	names := e.SpecializedNames()
+	m := &Machine{names: names, labelIdx: make(map[string]Sym, len(names))}
+	m.pool.New = func() any { return &Runner{m: m} }
 	idx := make(map[string]int32, len(names))
+	nameLabel := make([]Sym, len(names))
 	for i, n := range names {
 		idx[n] = int32(i)
+		el := e.Elem(n)
+		l, ok := m.labelIdx[el]
+		if !ok {
+			l = Sym(len(m.labels))
+			m.labelIdx[el] = l
+			m.labels = append(m.labels, el)
+		}
+		nameLabel[i] = l
 	}
-	m := &Machine{names: names}
-	m.pool.New = func() any { return &Runner{m: m} }
+	m.specsByLabel = make([][]int32, len(m.labels))
+	for i, l := range nameLabel {
+		m.specsByLabel[l] = append(m.specsByLabel[l], int32(i))
+	}
+	m.startsByLabel = make([][]int32, len(m.labels))
+	for _, s := range e.Starts {
+		i := idx[s]
+		m.starts = append(m.starts, i)
+		m.startsByLabel[nameLabel[i]] = append(m.startsByLabel[nameLabel[i]], i)
+	}
 	single, _ := e.IsSingleType()
 	m.singleType = single
 	if single {
-		m.compileSingleType(e, idx)
+		m.compileSingleType(e, idx, nameLabel)
 	} else {
-		m.compileGeneral(e, idx)
-	}
-	// Uniform tables for the incremental revalidator: candidate
-	// specializations per element label (the general path builds its
-	// own copy already) and the start-name set.
-	if m.specsByElem == nil {
-		m.specsByElem = map[int32][]int32{}
-		for elem, specs := range e.SpecializationMap() {
-			elemID := strlang.Intern(elem)
-			for _, n := range specs {
-				m.specsByElem[elemID] = append(m.specsByElem[elemID], idx[n])
-			}
-		}
-	}
-	for _, s := range e.Starts {
-		m.starts = append(m.starts, idx[s])
+		m.compileGeneral(e)
 	}
 	return m
 }
@@ -176,24 +202,63 @@ func Compile(e *schema.EDTD) *Machine {
 // single-type fast path.
 func (m *Machine) SingleType() bool { return m.singleType }
 
-func (m *Machine) compileSingleType(e *schema.EDTD, idx map[string]int32) {
-	witness := e.ChildWitnesses()
+// resolve returns the machine-local symbol of an element label, NoSym if
+// no specialized name of the machine carries it. It reads only tables
+// fixed at Compile, so any number of goroutines may call it lock-free.
+func (m *Machine) resolve(label string) Sym {
+	if l, ok := m.labelIdx[label]; ok {
+		return l
+	}
+	return NoSym
+}
+
+// known reports whether sym indexes this machine's label tables.
+func (m *Machine) known(sym Sym) bool { return uint(sym) < uint(len(m.labels)) }
+
+// step returns δ(state, sym) of p's content DFA, -1 where undefined. sym
+// must be a known label with a child witness in p.
+func (m *Machine) step(p *stProg, state int32, sym Sym) int32 {
+	return p.next[int(state)*len(m.labels)+int(sym)]
+}
+
+func (m *Machine) compileSingleType(e *schema.EDTD, idx map[string]int32, nameLabel []Sym) {
+	nl := len(m.labels)
 	m.progs = make([]stProg, len(m.names))
 	for i, n := range m.names {
-		dfa := e.Rule(n).CompiledDFA()
-		child := make(map[int32]childRef, len(witness[n]))
-		for elem, spec := range witness[n] {
-			child[strlang.Intern(elem)] = childRef{name: idx[spec], sym: strlang.Intern(spec)}
+		rule := e.Rule(n)
+		dfa := rule.CompiledDFA()
+		p := stProg{start: int32(dfa.Start()), child: make([]int32, nl)}
+		for l := range p.child {
+			p.child[l] = -1
 		}
-		m.progs[i] = stProg{dfa: dfa, start: int32(dfa.Start()), child: child}
-	}
-	m.startByElem = make(map[int32]int32, len(e.Starts))
-	for _, s := range e.Starts {
-		m.startByElem[strlang.Intern(e.Elem(s))] = idx[s]
+		for _, b := range rule.UsefulSymbols() {
+			p.child[nameLabel[idx[b]]] = idx[b]
+		}
+		states := dfa.NumStates()
+		p.final = make([]bool, states)
+		p.next = make([]int32, states*nl)
+		for q := range states {
+			p.final[q] = dfa.IsFinal(q)
+		}
+		for j := range p.next {
+			p.next[j] = -1
+		}
+		for l, w := range p.child {
+			if w < 0 {
+				continue
+			}
+			sid := strlang.Intern(m.names[w])
+			for q := range states {
+				if t, ok := dfa.NextID(q, sid); ok {
+					p.next[q*nl+l] = int32(t)
+				}
+			}
+		}
+		m.progs[i] = p
 	}
 }
 
-func (m *Machine) compileGeneral(e *schema.EDTD, idx map[string]int32) {
+func (m *Machine) compileGeneral(e *schema.EDTD) {
 	m.gen = make([]genProg, len(m.names))
 	for i, n := range m.names {
 		nfa := e.Rule(n).Lang()
@@ -205,18 +270,6 @@ func (m *Machine) compileGeneral(e *schema.EDTD, idx map[string]int32) {
 			finals:    nfa.Finals(),
 			sym:       strlang.Intern(n),
 		}
-	}
-	m.specsByElem = map[int32][]int32{}
-	for elem, specs := range e.SpecializationMap() {
-		elemID := strlang.Intern(elem)
-		for _, n := range specs {
-			m.specsByElem[elemID] = append(m.specsByElem[elemID], idx[n])
-		}
-	}
-	m.startsByElem = map[int32][]int32{}
-	for _, s := range e.Starts {
-		elemID := strlang.Intern(e.Elem(s))
-		m.startsByElem[elemID] = append(m.startsByElem[elemID], idx[s])
 	}
 }
 

@@ -121,15 +121,15 @@ func TestRunnerEventDiscipline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(r3.StartElement("eurostat"))
+	must(startElement(r3, "eurostat"))
 	must(r3.Text())
-	must(r3.StartElement("averages"))
-	must(r3.StartElement("Good"))
+	must(startElement(r3, "averages"))
+	must(startElement(r3, "Good"))
 	must(r3.EndElement())
-	must(r3.StartElement("index"))
-	must(r3.StartElement("value"))
+	must(startElement(r3, "index"))
+	must(startElement(r3, "value"))
 	must(r3.EndElement())
-	must(r3.StartElement("year"))
+	must(startElement(r3, "year"))
 	must(r3.EndElement())
 	must(r3.EndElement())
 	must(r3.EndElement())
@@ -143,7 +143,7 @@ func TestRunnerEventDiscipline(t *testing.T) {
 	if err := r3.Finish(); err != nil {
 		t.Errorf("complete valid document rejected: %v", err)
 	}
-	if err := r3.StartElement("eurostat"); err == nil {
+	if err := startElement(r3, "eurostat"); err == nil {
 		t.Error("second root should fail")
 	}
 }
@@ -183,7 +183,7 @@ func TestStreamKernelMatchesExtend(t *testing.T) {
 	for _, ext := range []map[string]*xmltree.Tree{frags, bad} {
 		r := m.NewRunner()
 		err := StreamKernel(kernel, r, func(fn string, h Handler) error {
-			return ext[fn].EmitChildEvents(h.StartElement, h.EndElement)
+			return StreamTreeInner(ext[fn], h)
 		})
 		if err == nil {
 			err = r.Finish()

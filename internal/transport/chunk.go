@@ -1,5 +1,7 @@
 package transport
 
+import "sync"
+
 // chunker chops an incremental serialization into fixed-budget chunks
 // and hands each to a blocking send callback — the transport-specific
 // delivery (a channel handoff in process, a credit-gated Chunk frame
@@ -12,13 +14,29 @@ package transport
 // the receiver, window-1 queued, one being filled. Chunk boundaries
 // depend only on the budget, never on the transport or the ring depth,
 // which is what makes frame counts transport- and window-invariant.
+//
+// Rings are recycled across transfers (release), and a bounded budget
+// sizes each slot once, on its first use, so a steady stream of
+// transfers allocates no chunk buffers at all.
 type chunker struct {
 	send   func([]byte) error
 	budget int
-	buf    [][]byte
+	ring   *ring
+	buf    [][]byte // ring.slots[:depth]
 	cur    int
 	sent   int
 }
+
+// ring is a recyclable set of chunk buffers.
+type ring struct{ slots [][]byte }
+
+// maxPooledChunk bounds the budgets whose rings are pre-sized and
+// recycled. Larger budgets — notably the unchunked math.MaxInt, whose
+// single chunk is the whole document — grow their slots by append and
+// leave them to the collector, so the pool never pins a document.
+const maxPooledChunk = 64 << 10
+
+var ringPool = sync.Pool{New: func() any { return new(ring) }}
 
 func newChunker(budget int, send func([]byte) error) *chunker {
 	return newChunkerDepth(budget, 2, send)
@@ -31,12 +49,41 @@ func newChunkerDepth(budget, depth int, send func([]byte) error) *chunker {
 	if depth < 2 {
 		depth = 2
 	}
-	return &chunker{send: send, budget: budget, buf: make([][]byte, depth)}
+	w := &chunker{send: send, budget: budget}
+	if budget <= maxPooledChunk {
+		w.ring = ringPool.Get().(*ring)
+	} else {
+		w.ring = new(ring)
+	}
+	if len(w.ring.slots) < depth {
+		w.ring.slots = append(w.ring.slots, make([][]byte, depth-len(w.ring.slots))...)
+	}
+	w.buf = w.ring.slots[:depth]
+	return w
+}
+
+// release hands the ring back for a later transfer. The caller
+// guarantees that the sender has exited and that no chunk of the ring
+// is still referenced by a receiver; the chunker is unusable after.
+func (w *chunker) release() {
+	if w.budget > maxPooledChunk {
+		return
+	}
+	for i := range w.buf {
+		w.buf[i] = w.buf[i][:0]
+	}
+	ringPool.Put(w.ring)
+	w.ring, w.buf = nil, nil
 }
 
 func (w *chunker) Write(p []byte) (int, error) {
 	total := len(p)
 	for len(p) > 0 {
+		if slot := w.buf[w.cur]; len(slot) == 0 && cap(slot) < w.budget && w.budget <= maxPooledChunk {
+			// An empty slot too small for the budget (new, or recycled
+			// from a smaller-budget transfer) is sized once.
+			w.buf[w.cur] = make([]byte, 0, w.budget)
+		}
 		space := w.budget - len(w.buf[w.cur])
 		if space == 0 {
 			if err := w.flush(); err != nil {

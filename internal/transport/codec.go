@@ -302,13 +302,14 @@ func (fw *frameWriter) write(f frame) error {
 	b = append(b, f.str...)
 	b = append(b, f.data...)
 	fw.buf = b
-	if _, err = fw.w.Write(b); err != nil {
-		return err
-	}
+	// Frames are tapped before they are written: once the bytes are on
+	// the wire the peer's answer can be read (and tapped) before this
+	// goroutine runs again, and the recording must keep causal order.
 	if fw.tap != nil {
 		fw.tap.TapFrame(TapOut, fw.sess, b, nil)
 	}
-	return nil
+	_, err = fw.w.Write(b)
+	return err
 }
 
 // writeChunk writes one chunk frame with a vectored write: the 9-byte
@@ -325,27 +326,19 @@ func (fw *frameWriter) writeChunk(id uint32, data []byte) error {
 	binary.BigEndian.PutUint32(fw.hdr[0:4], uint32(1+4+len(data)))
 	fw.hdr[4] = byte(frameChunk)
 	binary.BigEndian.PutUint32(fw.hdr[5:9], id)
+	if fw.tap != nil { // before the write, as in write
+		fw.tap.TapFrame(TapOut, fw.sess, fw.hdr[:], data)
+	}
 	if len(data) == 0 {
-		if _, err := fw.w.Write(fw.hdr[:]); err != nil {
-			return err
-		}
-		if fw.tap != nil {
-			fw.tap.TapFrame(TapOut, fw.sess, fw.hdr[:], nil)
-		}
-		return nil
+		_, err := fw.w.Write(fw.hdr[:])
+		return err
 	}
 	fw.vec[0], fw.vec[1] = fw.hdr[:], data
 	fw.bufs = net.Buffers(fw.vec[:])
 	_, err := fw.bufs.WriteTo(fw.w)
 	fw.vec[0], fw.vec[1] = nil, nil // do not pin the payload past the write
 	fw.bufs = nil
-	if err != nil {
-		return err
-	}
-	if fw.tap != nil {
-		fw.tap.TapFrame(TapOut, fw.sess, fw.hdr[:], data)
-	}
-	return nil
+	return err
 }
 
 // frameReader decodes frames from one stream. The payload buffer is

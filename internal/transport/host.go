@@ -601,6 +601,7 @@ func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, s
 	if err == nil {
 		err = cw.flush() // the final partial chunk
 	}
+	cw.release() // socket writes return their buffers synchronously
 	s.mu.Lock()
 	delete(s.streams, id)
 	s.mu.Unlock()
@@ -743,6 +744,7 @@ func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf 
 	if err == nil {
 		err = cw.flush()
 	}
+	cw.release()
 	if err != nil {
 		if sctx.Err() == nil {
 			s.send(frame{typ: frameStreamErr, id: id, str: err.Error()})

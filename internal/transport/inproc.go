@@ -119,7 +119,8 @@ func (s *InProc) Verdict(ctx context.Context, fn string) (bool, error) {
 // ctx ends): at most one window past the failure point is ever
 // serialized. The chunker's ring holds window+1 buffers because chunks
 // travel by reference: one held by the receiver, window-1 queued, one
-// being filled.
+// being filled. The ring is recycled once both ends are done with it:
+// the sender has exited and the receiver has reached EOF or aborted.
 func (s *InProc) Open(ctx context.Context, fn string) (Fragment, error) {
 	src, err := s.source(fn)
 	if err != nil {
@@ -136,24 +137,27 @@ func (s *InProc) Open(ctx context.Context, fn string) (Fragment, error) {
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	ch := make(chan []byte, win-1)
+	f := &inprocFragment{sess: s, id: id, src: src, ch: ch, cancel: cancel}
+	f.w = newChunkerDepth(s.Chunk, win+1, func(chunk []byte) error {
+		s.tapFrame(TapIn, frame{typ: frameChunk, id: id, data: chunk})
+		select {
+		case ch <- chunk:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	})
+	f.holds.Store(2)
 	go func() {
+		defer f.letGo()
 		defer close(ch)
-		w := newChunkerDepth(s.Chunk, win+1, func(chunk []byte) error {
-			s.tapFrame(TapIn, frame{typ: frameChunk, id: id, data: chunk})
-			select {
-			case ch <- chunk:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-		if src.Serialize(w) == nil {
-			if w.flush() == nil { // the final partial chunk
+		if src.Serialize(f.w) == nil {
+			if f.w.flush() == nil { // the final partial chunk
 				s.tapFrame(TapIn, frame{typ: frameEnd, id: id})
 			}
 		}
 	}()
-	return &inprocFragment{sess: s, id: id, src: src, ch: ch, cancel: cancel}, nil
+	return f, nil
 }
 
 // Close is a no-op: in-process sessions hold no resources beyond their
@@ -167,6 +171,25 @@ type inprocFragment struct {
 	ch      <-chan []byte
 	cancel  context.CancelFunc
 	aborted bool
+	done    bool // the receiver has let go of the ring (EOF or abort)
+
+	w     *chunker
+	holds atomic.Int32 // ends still using w's ring: sender and receiver
+}
+
+// letGo drops one end's hold on the chunk ring; the last one recycles it.
+func (f *inprocFragment) letGo() {
+	if f.holds.Add(-1) == 0 {
+		f.w.release()
+	}
+}
+
+// receiverDone lets go of the ring from the receiving end, once.
+func (f *inprocFragment) receiverDone() {
+	if !f.done {
+		f.done = true
+		f.letGo()
+	}
 }
 
 // Size is resolved lazily from the source: only aborted transfers need
@@ -175,9 +198,13 @@ type inprocFragment struct {
 func (f *inprocFragment) Size() int { return f.src.Size() }
 
 func (f *inprocFragment) Next() ([]byte, error) {
+	if f.aborted {
+		return nil, fmt.Errorf("transport: read from aborted stream")
+	}
 	chunk, ok := <-f.ch
 	if !ok {
 		f.cancel() // transfer complete: release the sender's context
+		f.receiverDone()
 		return nil, io.EOF
 	}
 	return chunk, nil
@@ -189,4 +216,5 @@ func (f *inprocFragment) Abort() {
 		f.sess.tapFrame(TapOut, frame{typ: frameReject, id: f.id, str: "rejected by receiver"})
 	}
 	f.cancel()
+	f.receiverDone()
 }

@@ -95,37 +95,6 @@ func (t *Tree) Walk(f func(node *Tree, ancStr []string) bool) {
 	rec(t, nil)
 }
 
-// EmitEvents streams t as SAX-style structural events in document order:
-// start(label) on entering a node, end() on leaving it. It is the bridge
-// between materialized trees and streaming consumers (validators,
-// serializers) — the consumer sees exactly the event sequence an XML
-// parser would produce for the tree, using stack memory proportional to
-// the tree's depth. Emission stops at the first error, which is returned.
-func (t *Tree) EmitEvents(start func(label string) error, end func() error) error {
-	if err := start(t.Label); err != nil {
-		return err
-	}
-	for _, c := range t.Children {
-		if err := c.EmitEvents(start, end); err != nil {
-			return err
-		}
-	}
-	return end()
-}
-
-// EmitChildEvents emits the events of t's children only — the forest a
-// docking point contributes under Active XML extension semantics
-// (Section 2.3: a function node is replaced by the forest directly under
-// the fragment's root).
-func (t *Tree) EmitChildEvents(start func(label string) error, end func() error) error {
-	for _, c := range t.Children {
-		if err := c.EmitEvents(start, end); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Labels returns the set of labels occurring in t, in first-visit order.
 func (t *Tree) Labels() []string {
 	seen := map[string]bool{}
