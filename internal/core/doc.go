@@ -13,4 +13,21 @@
 // and the Dec(Ωi) cell decomposition of Section 6.1, for kernel boxes
 // (Section 7), and for trees via the reductions of Section 4 (per-node
 // string designs for DTDs/SDTDs; normalization and κ-functions for EDTDs).
+//
+// Design values derive once. The top-down procedures all reduce to the
+// same derived objects: the per-node string designs (Theorem 4.2), the κ
+// box designs (Corollaries 4.14 and 4.16), the perfect automaton Ω, the
+// Dec(Ωi) cells and the sound cell-union tuples (Theorems 6.10–6.11). A
+// BoxDesign, WordDesign, DTDDesign, SDTDDesign or EDTDDesign builds each
+// of them on first use and reuses it in every procedure later called on
+// the same value — ∃-loc, ∃-ml, ∃-perf and the verifiers. Procedure
+// results are not kept, and every check of a typing passed in runs on
+// every call. Nothing is shared between design values. The consequences
+// for callers:
+//   - a design is not safe for concurrent use;
+//   - its Target, Type and Kernel must not be modified in place after
+//     first use (replacing them, or toggling AllowTrivialTypes or
+//     DisableSearchPruning, rebuilds what depends on them);
+//   - slices handed out are copies, so changing them does not change
+//     later answers.
 package core

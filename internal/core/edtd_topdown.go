@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"dxml/internal/axml"
 	"dxml/internal/schema"
@@ -19,30 +21,85 @@ import (
 // (Corollary 4.16).
 
 // EDTDDesign is a top-down R-EDTD design ⟨τ, T⟩.
+//
+// The normalized type, the perfect κ, the κ space and the box designs of
+// every κ are built on first use and reused by every procedure later
+// called on the same value, together with what each box design derives
+// (see BoxDesign); they are rebuilt when Type or Kernel is replaced or
+// AllowTrivialTypes changes. Procedure results are not kept, and
+// everything that depends on a typing passed in is checked on every call.
+// A design is not safe for concurrent use, and Type and Kernel must not be
+// modified in place after first use.
 type EDTDDesign struct {
 	Type              *schema.EDTD
 	Kernel            *axml.Kernel
 	AllowTrivialTypes bool
 
-	norm *schema.EDTD
+	derived *edtdDerived
+}
+
+// edtdDerived is what an EDTD design has built, with the fields it was
+// built from.
+type edtdDerived struct {
+	typ          *schema.EDTD
+	kernel       *axml.Kernel
+	allowTrivial bool
+
+	norm         *schema.EDTD
+	nodes        []*xmltree.Tree // kernelElementNodes, the κ key order
+	kappas       []Kappa
+	perfectKappa Kappa
+	perfectDone  bool
+	boxes        map[string]boxDesignsEntry // by kappaKey
+}
+
+// boxDesignsEntry is the outcome of boxDesigns for one κ.
+type boxDesignsEntry struct {
+	designs []*NodeDesign
+	err     error
+}
+
+// cache returns the design's derived artifacts, starting afresh when
+// Type, Kernel or AllowTrivialTypes differs from what they were built
+// from.
+func (d *EDTDDesign) cache() *edtdDerived {
+	c := d.derived
+	if c == nil || c.typ != d.Type || c.kernel != d.Kernel || c.allowTrivial != d.AllowTrivialTypes {
+		c = &edtdDerived{typ: d.Type, kernel: d.Kernel, allowTrivial: d.AllowTrivialTypes}
+		d.derived = c
+	}
+	return c
 }
 
 // Normalized returns the normalized version of the design's type, built
 // on first use.
 func (d *EDTDDesign) Normalized() (*schema.EDTD, error) {
-	if d.norm == nil {
+	c := d.cache()
+	if c.norm == nil {
 		n, err := schema.Normalize(d.Type, schema.KindNFA)
 		if err != nil {
 			return nil, err
 		}
-		d.norm = n
+		c.norm = n
 	}
-	return d.norm, nil
+	return c.norm, nil
 }
 
 // Kappa assigns to each kernel element node a nonempty set of specialized
 // names of the normalized type (Definition 19), keyed by node pointer.
 type Kappa map[*xmltree.Tree][]string
+
+// clone copies κ down to its name sets.
+func (k Kappa) clone() Kappa {
+	if k == nil {
+		return nil
+	}
+	out := make(Kappa, len(k))
+	for n, names := range k {
+		out[n] = slices.Clone(names)
+	}
+	return out
+}
 
 // kernelElementNodes lists the kernel's element nodes in document order.
 func kernelElementNodes(k *axml.Kernel) []*xmltree.Tree {
@@ -56,11 +113,55 @@ func kernelElementNodes(k *axml.Kernel) []*xmltree.Tree {
 	return out
 }
 
-// boxDesigns builds the box designs D^x_κ for every kernel element node
-// (Definition 19): the target is π(κ(x)) = ∪_{ã∈κ(x)} π(ã), the kernel
-// box has one set position κ(y) per element child y and one function slot
-// per function child.
+// elementNodes returns kernelElementNodes of the design's kernel, listed
+// on first use.
+func (d *EDTDDesign) elementNodes() []*xmltree.Tree {
+	c := d.cache()
+	if c.nodes == nil {
+		c.nodes = kernelElementNodes(d.Kernel)
+	}
+	return c.nodes
+}
+
+// kappaKey encodes κ as its name sets in kernelElementNodes order, each
+// set and each name prefixed by its length, so distinct κ's get distinct
+// keys.
+func (d *EDTDDesign) kappaKey(kappa Kappa) string {
+	var key []byte
+	for _, n := range d.elementNodes() {
+		names := kappa[n]
+		key = strconv.AppendInt(key, int64(len(names)), 10)
+		key = append(key, ';')
+		for _, name := range names {
+			key = strconv.AppendInt(key, int64(len(name)), 10)
+			key = append(key, ':')
+			key = append(key, name...)
+		}
+	}
+	return string(key)
+}
+
+// boxDesigns returns the box designs D^x_κ of κ, built on first use for
+// that κ.
 func (d *EDTDDesign) boxDesigns(norm *schema.EDTD, kappa Kappa) ([]*NodeDesign, error) {
+	c := d.cache()
+	key := d.kappaKey(kappa)
+	e, ok := c.boxes[key]
+	if !ok {
+		e.designs, e.err = d.buildBoxDesigns(norm, kappa)
+		if c.boxes == nil {
+			c.boxes = map[string]boxDesignsEntry{}
+		}
+		c.boxes[key] = e
+	}
+	return e.designs, e.err
+}
+
+// buildBoxDesigns builds the box designs D^x_κ for every kernel element
+// node (Definition 19): the target is π(κ(x)) = ∪_{ã∈κ(x)} π(ã), the
+// kernel box has one set position κ(y) per element child y and one
+// function slot per function child.
+func (d *EDTDDesign) buildBoxDesigns(norm *schema.EDTD, kappa Kappa) ([]*NodeDesign, error) {
 	funcIdx := map[string]int{}
 	for i, f := range d.Kernel.Funcs() {
 		funcIdx[f] = i
@@ -122,6 +223,24 @@ func (d *EDTDDesign) boxDesigns(norm *schema.EDTD, kappa Kappa) ([]*NodeDesign, 
 // position-tagged symbols. A nil result means some node gets an empty set,
 // so no sound typing (hence no perfect typing) exists.
 func (d *EDTDDesign) PerfectKappa() (Kappa, error) {
+	kappa, err := d.perfectKappa()
+	return kappa.clone(), err
+}
+
+// perfectKappa returns the design's own perfect κ, built on first use.
+func (d *EDTDDesign) perfectKappa() (Kappa, error) {
+	c := d.cache()
+	if !c.perfectDone {
+		kappa, err := d.buildPerfectKappa()
+		if err != nil {
+			return nil, err
+		}
+		c.perfectKappa, c.perfectDone = kappa, true
+	}
+	return c.perfectKappa, nil
+}
+
+func (d *EDTDDesign) buildPerfectKappa() (Kappa, error) {
 	norm, err := d.Normalized()
 	if err != nil {
 		return nil, err
@@ -274,7 +393,7 @@ func (d *EDTDDesign) ExistsPerfect() (Typing, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	kappa, err := d.PerfectKappa()
+	kappa, err := d.perfectKappa()
 	if err != nil {
 		return nil, false, err
 	}
@@ -320,11 +439,18 @@ func (d *EDTDDesign) IsLocal(typing Typing) (bool, error) {
 	return ok, nil
 }
 
-// allKappas enumerates every κ (nonempty subsets of Σ̃d(lab(x)) per
-// element node). Exponential, as the NP^C oracle machine of
-// Corollary 4.14 requires.
+// allKappas returns every κ (nonempty subsets of Σ̃d(lab(x)) per element
+// node), enumerated on first use. Exponential, as the NP^C oracle machine
+// of Corollary 4.14 requires.
 func (d *EDTDDesign) allKappas(norm *schema.EDTD) []Kappa {
-	nodes := kernelElementNodes(d.Kernel)
+	c := d.cache()
+	if c.kappas == nil {
+		c.kappas = enumerateKappas(norm, d.elementNodes())
+	}
+	return c.kappas
+}
+
+func enumerateKappas(norm *schema.EDTD, nodes []*xmltree.Tree) []Kappa {
 	options := make([][][]string, len(nodes))
 	for i, n := range nodes {
 		specs := norm.Specializations(n.Label)
@@ -339,7 +465,7 @@ func (d *EDTDDesign) allKappas(norm *schema.EDTD) []Kappa {
 			subsets = append(subsets, set)
 		}
 		if len(subsets) == 0 {
-			return nil
+			return []Kappa{}
 		}
 		options[i] = subsets
 	}

@@ -35,6 +35,8 @@ type PerfectAutomaton struct {
 	// chain; viableStart[i]: states where the w_i segment may start.
 	viableEnd   []strlang.IntSet
 	viableStart []strlang.IntSet
+	// omega is the materialized Ω, built on first use.
+	omega *strlang.NFA
 }
 
 // BuildPerfect constructs Ω(A, B). A may contain ε-transitions.
@@ -190,8 +192,21 @@ func (p *PerfectAutomaton) Chains() [][]int {
 
 // OmegaNFA materializes the literal ε-glued perfect automaton of
 // Algorithm 1 / Figure 7 and returns it trimmed. Its language satisfies
-// Ω ≤ A (Lemma 6.1).
+// Ω ≤ A (Lemma 6.1). The automaton is built once; each call returns a
+// copy of it.
 func (p *PerfectAutomaton) OmegaNFA() *strlang.NFA {
+	return p.omegaNFA().Clone()
+}
+
+// omegaNFA returns the automaton's own materialized Ω, built on first use.
+func (p *PerfectAutomaton) omegaNFA() *strlang.NFA {
+	if p.omega == nil {
+		p.omega = p.buildOmegaNFA()
+	}
+	return p.omega
+}
+
+func (p *PerfectAutomaton) buildOmegaNFA() *strlang.NFA {
 	n := p.kernel.NumFuncs()
 	out := strlang.NewNFA()
 	type ends struct{ ini, fin int }

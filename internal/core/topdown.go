@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dxml/internal/axml"
 	"dxml/internal/schema"
@@ -30,24 +31,73 @@ type NodeDesign struct {
 }
 
 // DTDDesign is a top-down R-DTD design ⟨τ, T⟩ (Definition 10).
+//
+// The per-node string designs are built on first use and reused by every
+// procedure later called on the same value, together with what each of
+// them derives (see BoxDesign); they are rebuilt when Type or Kernel is
+// replaced or AllowTrivialTypes changes. A design is not safe for
+// concurrent use, and Type and Kernel must not be modified in place after
+// first use.
 type DTDDesign struct {
 	Type   *schema.DTD
 	Kernel *axml.Kernel
 	// AllowTrivialTypes is propagated to the induced word designs (see
 	// BoxDesign.AllowTrivialTypes).
 	AllowTrivialTypes bool
+
+	nodes nodeDesignCache
 }
 
 // SDTDDesign is a top-down R-SDTD design ⟨τ, T⟩. Type must be single-type.
+//
+// It caches its per-node string designs like DTDDesign, under the same
+// rules: not safe for concurrent use, and Type and Kernel must not be
+// modified in place after first use.
 type SDTDDesign struct {
 	Type              *schema.EDTD
 	Kernel            *axml.Kernel
 	AllowTrivialTypes bool
+
+	nodes nodeDesignCache
+}
+
+// nodeDesignCache holds the per-node string designs of a DTD or SDTD
+// design together with the fields they were built from.
+type nodeDesignCache struct {
+	built        bool
+	typ          any // *schema.DTD or *schema.EDTD
+	kernel       *axml.Kernel
+	allowTrivial bool
+	designs      []*NodeDesign
+	err          error
+}
+
+// get returns the cached designs, building them when the key differs from
+// the one they were built under.
+func (c *nodeDesignCache) get(typ any, kernel *axml.Kernel, allowTrivial bool,
+	build func() ([]*NodeDesign, error)) ([]*NodeDesign, error) {
+	if !c.built || c.typ != typ || c.kernel != kernel || c.allowTrivial != allowTrivial {
+		designs, err := build()
+		*c = nodeDesignCache{built: true, typ: typ, kernel: kernel, allowTrivial: allowTrivial, designs: designs, err: err}
+	}
+	return c.designs, c.err
 }
 
 // NodeDesigns returns the string designs of Theorem 4.2, one per element
-// node of the kernel, in document order.
+// node of the kernel, in document order. The designs are the ones the
+// design's procedures use, so what they derive is shared with them.
 func (d *DTDDesign) NodeDesigns() []*NodeDesign {
+	return slices.Clone(d.nodeDesigns())
+}
+
+func (d *DTDDesign) nodeDesigns() []*NodeDesign {
+	designs, _ := d.nodes.get(d.Type, d.Kernel, d.AllowTrivialTypes, func() ([]*NodeDesign, error) {
+		return d.buildNodeDesigns(), nil
+	})
+	return designs
+}
+
+func (d *DTDDesign) buildNodeDesigns() []*NodeDesign {
 	var out []*NodeDesign
 	funcIdx := map[string]int{}
 	for i, f := range d.Kernel.Funcs() {
@@ -145,8 +195,18 @@ func assignWitnesses(e *schema.EDTD, k *axml.Kernel) (map[*xmltree.Tree]string, 
 
 // NodeDesigns returns the induced string designs of Definition 18 /
 // Theorem 4.5, or an error when the kernel does not fit the type's
-// vertical language.
+// vertical language. The designs are the ones the design's procedures use,
+// so what they derive is shared with them.
 func (d *SDTDDesign) NodeDesigns() ([]*NodeDesign, error) {
+	designs, err := d.nodeDesigns()
+	return slices.Clone(designs), err
+}
+
+func (d *SDTDDesign) nodeDesigns() ([]*NodeDesign, error) {
+	return d.nodes.get(d.Type, d.Kernel, d.AllowTrivialTypes, d.buildNodeDesigns)
+}
+
+func (d *SDTDDesign) buildNodeDesigns() ([]*NodeDesign, error) {
 	witness, err := assignWitnesses(d.Type, d.Kernel)
 	if err != nil {
 		return nil, err
@@ -260,7 +320,7 @@ func solveNodes(n int, designs []*NodeDesign,
 // ExistsLocal decides ∃-loc[R-DTD] (Corollary 4.3) and returns a local
 // typing when one exists.
 func (d *DTDDesign) ExistsLocal() (Typing, bool) {
-	wt, ok := solveNodes(d.Kernel.NumFuncs(), d.NodeDesigns(),
+	wt, ok := solveNodes(d.Kernel.NumFuncs(), d.nodeDesigns(),
 		func(wd *WordDesign) (WordTyping, bool) { return wd.LocalTyping() })
 	if !ok {
 		return nil, false
@@ -271,7 +331,7 @@ func (d *DTDDesign) ExistsLocal() (Typing, bool) {
 // ExistsPerfect decides ∃-perf[R-DTD] and returns the perfect typing when
 // it exists.
 func (d *DTDDesign) ExistsPerfect() (Typing, bool) {
-	wt, ok := solveNodes(d.Kernel.NumFuncs(), d.NodeDesigns(),
+	wt, ok := solveNodes(d.Kernel.NumFuncs(), d.nodeDesigns(),
 		func(wd *WordDesign) (WordTyping, bool) { return wd.PerfectTyping() })
 	if !ok {
 		return nil, false
@@ -283,7 +343,7 @@ func (d *DTDDesign) ExistsPerfect() (Typing, bool) {
 // design as global word typings (the cross product of the per-node
 // enumerations).
 func (d *DTDDesign) MaximalLocalWordTypings() []WordTyping {
-	return crossMaximal(d.Kernel.NumFuncs(), d.NodeDesigns())
+	return crossMaximal(d.Kernel.NumFuncs(), d.nodeDesigns())
 }
 
 // ExistsMaximalLocal decides ∃-ml[R-DTD].
@@ -328,7 +388,7 @@ func crossMaximal(n int, designs []*NodeDesign) []WordTyping {
 
 // ExistsLocal decides ∃-loc[R-SDTD] (Corollary 4.6).
 func (d *SDTDDesign) ExistsLocal() (Typing, bool) {
-	designs, err := d.NodeDesigns()
+	designs, err := d.nodeDesigns()
 	if err != nil {
 		return nil, false
 	}
@@ -342,7 +402,7 @@ func (d *SDTDDesign) ExistsLocal() (Typing, bool) {
 
 // ExistsPerfect decides ∃-perf[R-SDTD].
 func (d *SDTDDesign) ExistsPerfect() (Typing, bool) {
-	designs, err := d.NodeDesigns()
+	designs, err := d.nodeDesigns()
 	if err != nil {
 		return nil, false
 	}
@@ -357,7 +417,7 @@ func (d *SDTDDesign) ExistsPerfect() (Typing, bool) {
 // MaximalLocalWordTypings enumerates the maximal local typings as global
 // word typings over Σ̃.
 func (d *SDTDDesign) MaximalLocalWordTypings() []WordTyping {
-	designs, err := d.NodeDesigns()
+	designs, err := d.nodeDesigns()
 	if err != nil {
 		return nil
 	}
@@ -428,7 +488,7 @@ func (d *DTDDesign) IsMaximalLocal(typing Typing) (bool, error) {
 }
 
 func (d *DTDDesign) checkNodeMaximality(wt WordTyping) (bool, error) {
-	for _, nd := range d.NodeDesigns() {
+	for _, nd := range d.nodeDesigns() {
 		local := make(WordTyping, len(nd.FuncIdx))
 		for j, gi := range nd.FuncIdx {
 			local[j] = wt[gi]
@@ -453,7 +513,7 @@ func (d *DTDDesign) IsPerfect(typing Typing) (bool, error) {
 	wt := wordTypingOf(typing, func(i int, lang *strlang.NFA) *strlang.NFA {
 		return relabel(lang, typing[i].Elem)
 	})
-	for _, nd := range d.NodeDesigns() {
+	for _, nd := range d.nodeDesigns() {
 		local := make(WordTyping, len(nd.FuncIdx))
 		for j, gi := range nd.FuncIdx {
 			local[j] = wt[gi]
@@ -471,7 +531,7 @@ func (d *SDTDDesign) IsMaximalLocal(typing Typing) (bool, error) {
 	if err != nil || !local {
 		return false, err
 	}
-	designs, err := d.NodeDesigns()
+	designs, err := d.nodeDesigns()
 	if err != nil {
 		return false, err
 	}
@@ -498,7 +558,7 @@ func (d *SDTDDesign) IsPerfect(typing Typing) (bool, error) {
 	if err != nil || !local {
 		return false, err
 	}
-	designs, err := d.NodeDesigns()
+	designs, err := d.nodeDesigns()
 	if err != nil {
 		return false, err
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"dxml/internal/axml"
 	"dxml/internal/strlang"
@@ -26,6 +28,16 @@ import (
 // Figure 5's bad design would have one where a single function grabs the
 // whole content — so exclusion is the default. Set AllowTrivialTypes for
 // the literal reading; see DESIGN.md erratum E4.
+//
+// A design derives its artifacts once: the perfect automaton Ω, the
+// Dec(Ωi) cells and the sound cell-union tuples of Theorem 6.11 are built
+// on first use and reused by every procedure later called on the same
+// value (∃-loc, ∃-ml, ∃-perf and the verifiers). Everything is rebuilt
+// when Target or Kernel is replaced, the tuples also when
+// AllowTrivialTypes or DisableSearchPruning changes; everything that
+// depends on a typing passed in is checked on every call. A design is not
+// safe for concurrent use, and Target and Kernel must not be modified in
+// place after first use.
 type BoxDesign struct {
 	Target *strlang.NFA
 	Kernel *axml.KernelBox
@@ -40,6 +52,20 @@ type BoxDesign struct {
 
 	perfect *PerfectAutomaton
 	cells   [][]Cell
+	search  *tupleSearch
+}
+
+// cellTuple is a candidate typing of the cell-union search: per function,
+// the bit mask of the Dec(Ωi) cells whose union types it.
+type cellTuple []uint64
+
+// tupleSearch is the outcome of the sound-tuple search under the options
+// it ran with.
+type tupleSearch struct {
+	allowTrivial, noPruning bool
+	sound                   []cellTuple
+	maximal                 []cellTuple // the maximal sound tuples, once asked for
+	maximalDone             bool
 }
 
 // WordDesign is a top-down design ⟨A, w⟩ over a kernel string.
@@ -69,18 +95,31 @@ func MustWordDesign(targetRegex, kernel string) *WordDesign {
 		axml.MustParseKernelString(kernel))
 }
 
-// Perfect returns the design's perfect automaton, built on first use.
+// Perfect returns the design's perfect automaton, built on first use and
+// again, with everything derived from it, when Target or Kernel has been
+// replaced.
 func (d *BoxDesign) Perfect() *PerfectAutomaton {
-	if d.perfect == nil {
+	if p := d.perfect; p == nil || p.target != d.Target || p.kernel != d.Kernel {
 		d.perfect = BuildPerfect(d.Target, d.Kernel)
+		d.cells, d.search = nil, nil
 	}
 	return d.perfect
 }
 
 // Cells returns the Dec(Ωi) cells per function, built on first use.
 func (d *BoxDesign) Cells() [][]Cell {
+	cells := d.cellTable()
+	out := make([][]Cell, len(cells))
+	for i, cs := range cells {
+		out[i] = slices.Clone(cs)
+	}
+	return out
+}
+
+// cellTable returns the design's own Dec(Ωi) cells, built on first use.
+func (d *BoxDesign) cellTable() [][]Cell {
+	p := d.Perfect()
 	if d.cells == nil {
-		p := d.Perfect()
 		d.cells = make([][]Cell, d.Kernel.NumFuncs())
 		for i := 1; i <= d.Kernel.NumFuncs(); i++ {
 			autos := make([]*strlang.NFA, len(p.Aut(i)))
@@ -130,7 +169,7 @@ func (d *BoxDesign) MaximalSound(typing WordTyping) (bool, error) {
 	if ok, w := d.Sound(typing); !ok {
 		return false, fmt.Errorf("core: typing is not sound (witness %v)", w)
 	}
-	cells := d.Cells()
+	cells := d.cellTable()
 	for i := range typing {
 		for _, cell := range cells[i] {
 			inter := strlang.Intersect(cell.Lang, typing[i])
@@ -198,12 +237,7 @@ func (d *BoxDesign) PerfectTyping() (WordTyping, bool) {
 	if len(maximal) != 1 {
 		return nil, false
 	}
-	cells := d.Cells()
-	typing := make(WordTyping, len(maximal[0]))
-	for j := range maximal[0] {
-		typing[j] = cellUnion(cells[j], maximal[0][j])
-	}
-	if d.Local(typing) {
+	if typing := d.tupleTyping(maximal[0]); d.Local(typing) {
 		return typing, true
 	}
 	return nil, false
@@ -220,66 +254,101 @@ func (d *BoxDesign) IsPerfect(typing WordTyping) bool {
 }
 
 // maximalSoundTuples returns the maximal elements of the sound cell-union
-// tuples.
-func (d *BoxDesign) maximalSoundTuples() [][][]int {
+// tuples, computed on first use.
+func (d *BoxDesign) maximalSoundTuples() []cellTuple {
 	tuples := d.soundTuples()
-	var out [][][]int
-	for i, t := range tuples {
-		isMax := true
-		for j, u := range tuples {
-			if i != j && tupleDominated(t, u) {
-				isMax = false
-				break
+	s := d.search
+	if !s.maximalDone {
+		for i, t := range tuples {
+			isMax := true
+			for j, u := range tuples {
+				if i != j && tupleDominated(t, u) {
+					isMax = false
+					break
+				}
+			}
+			if isMax {
+				s.maximal = append(s.maximal, t)
 			}
 		}
-		if isMax {
-			out = append(out, t)
-		}
+		s.maximalDone = true
 	}
-	return out
+	return s.maximal
 }
 
 // tupleDominated reports whether a < b as cell-index sets (cells are
 // disjoint, so this is componentwise language inclusion).
-func tupleDominated(a, b [][]int) bool {
-	leq, lt := true, false
+func tupleDominated(a, b cellTuple) bool {
+	lt := false
 	for i := range a {
-		set := map[int]bool{}
-		for _, x := range b[i] {
-			set[x] = true
+		if a[i]&^b[i] != 0 {
+			return false
 		}
-		for _, x := range a[i] {
-			if !set[x] {
-				leq = false
-			}
-		}
-		if len(a[i]) < len(b[i]) {
+		if a[i] != b[i] {
 			lt = true
 		}
 	}
-	return leq && lt
+	return lt
 }
 
-// cellUnion returns the union of the selected cells (by index).
-func cellUnion(cells []Cell, selection []int) *strlang.NFA {
-	langs := make([]*strlang.NFA, len(selection))
-	for i, c := range selection {
-		langs[i] = cells[c].Lang
+// cellUnion returns the union of the cells selected by mask.
+func cellUnion(cells []Cell, mask uint64) *strlang.NFA {
+	langs := make([]*strlang.NFA, 0, bits.OnesCount64(mask))
+	for m := mask; m != 0; m &= m - 1 {
+		langs = append(langs, cells[bits.TrailingZeros64(m)].Lang)
 	}
 	return strlang.UnionAll(langs...)
 }
 
-// soundTuples enumerates all sound typings that are unions of nonempty
-// cell subsets per function, as index-set tuples. This is the search space
-// of Theorem 6.11: every maximal sound typing is of this shape
+// tupleTyping builds the typing a cell tuple selects, as fresh automata.
+func (d *BoxDesign) tupleTyping(t cellTuple) WordTyping {
+	cells := d.cellTable()
+	typing := make(WordTyping, len(t))
+	for j, mask := range t {
+		typing[j] = cellUnion(cells[j], mask)
+	}
+	return typing
+}
+
+// soundTuples returns the sound cell-union tuples, searched on first use
+// and again only when AllowTrivialTypes or DisableSearchPruning changes.
+func (d *BoxDesign) soundTuples() []cellTuple {
+	d.cellTable()
+	if s := d.search; s == nil || s.allowTrivial != d.AllowTrivialTypes || s.noPruning != d.DisableSearchPruning {
+		d.search = &tupleSearch{
+			allowTrivial: d.AllowTrivialTypes,
+			noPruning:    d.DisableSearchPruning,
+			sound:        d.searchSoundTuples(),
+		}
+	}
+	return d.search.sound
+}
+
+// searchSoundTuples enumerates all sound typings that are unions of
+// nonempty cell subsets per function. This is the search space of
+// Theorem 6.11: every maximal sound typing is of this shape
 // (Theorem 6.10), so the enumeration is complete for ∃-loc and ∃-ml.
 // Worst-case exponential, matching the problems' EXPSPACE upper bounds;
 // branches whose partial extension already falls outside the prefixes of
 // [A] are pruned. A design with no functions has one candidate, the
 // empty typing, sound iff the kernel word alone is in [A].
-func (d *BoxDesign) soundTuples() [][][]int {
-	cells := d.Cells()
+func (d *BoxDesign) searchSoundTuples() []cellTuple {
+	cells := d.cellTable()
 	n := d.Kernel.NumFuncs()
+	// The cells are nonempty and pairwise disjoint, so a union of cells is
+	// {ε} exactly when it is a single cell that is {ε}.
+	trivial := make([][]bool, n)
+	for i, cs := range cells {
+		if len(cs) > 63 {
+			panic(fmt.Sprintf("core: function %d has %d Dec(Ωi) cells, beyond the 63-cell search bound", i+1, len(cs)))
+		}
+		trivial[i] = make([]bool, len(cs))
+		if !d.AllowTrivialTypes {
+			for c, cell := range cs {
+				trivial[i][c] = isTrivialEps(cell.Lang)
+			}
+		}
+	}
 	// Prefix closure of the target: the trimmed automaton with every
 	// state final (all states are co-reachable after trimming).
 	pref, _ := d.Target.Trim()
@@ -287,8 +356,8 @@ func (d *BoxDesign) soundTuples() [][][]int {
 	for q := 0; q < prefAll.NumStates(); q++ {
 		prefAll.MarkFinal(q)
 	}
-	var out [][][]int
-	cur := make([][]int, n)
+	var out []cellTuple
+	cur := make(cellTuple, n)
 	langs := make([]*strlang.NFA, n)
 	var rec func(i int)
 	rec = func(i int) {
@@ -296,31 +365,20 @@ func (d *BoxDesign) soundTuples() [][][]int {
 			typing := make(WordTyping, n)
 			copy(typing, langs)
 			if ok, _ := d.Sound(typing); ok {
-				snapshot := make([][]int, n)
-				for j := range cur {
-					snapshot[j] = append([]int(nil), cur[j]...)
-				}
-				out = append(out, snapshot)
+				out = append(out, slices.Clone(cur))
 			}
 			return
 		}
-		total := len(cells[i])
-		for mask := 1; mask < 1<<total; mask++ {
-			var sel []int
-			for b := 0; b < total; b++ {
-				if mask&(1<<b) != 0 {
-					sel = append(sel, b)
-				}
-			}
-			cur[i] = sel
-			langs[i] = cellUnion(cells[i], sel)
-			if !d.AllowTrivialTypes && isTrivialEps(langs[i]) {
+		for mask := uint64(1); mask < 1<<len(cells[i]); mask++ {
+			if mask&(mask-1) == 0 && trivial[i][bits.TrailingZeros64(mask)] {
 				continue
 			}
+			cur[i] = mask
+			langs[i] = cellUnion(cells[i], mask)
 			// Prefix pruning: B0 τ1 B1 … τ_{i+1} must stay within the
 			// prefixes of [A].
 			if !d.DisableSearchPruning {
-				parts := make([]*strlang.NFA, 0, 2*i+3)
+				parts := make([]*strlang.NFA, 0, 2*i+2)
 				for j := 0; j <= i; j++ {
 					parts = append(parts, strlang.BoxNFA(d.Kernel.Boxes[j]), langs[j])
 				}
@@ -346,7 +404,7 @@ func (d *BoxDesign) LocalTyping() (WordTyping, bool) {
 	if !p.Compatible() {
 		return nil, false
 	}
-	if ok, _ := strlang.Equivalent(p.OmegaNFA(), d.Target); !ok {
+	if ok, _ := strlang.Equivalent(p.omegaNFA(), d.Target); !ok {
 		return nil, false
 	}
 	omega := p.TypingOmega()
@@ -364,13 +422,8 @@ func (d *BoxDesign) LocalTyping() (WordTyping, bool) {
 			return omega, true
 		}
 	}
-	cells := d.Cells()
 	for _, tuple := range d.soundTuples() {
-		typing := make(WordTyping, len(tuple))
-		for j := range tuple {
-			typing[j] = cellUnion(cells[j], tuple[j])
-		}
-		if d.Local(typing) {
+		if typing := d.tupleTyping(tuple); d.Local(typing) {
 			return typing, true
 		}
 	}
@@ -381,14 +434,9 @@ func (d *BoxDesign) LocalTyping() (WordTyping, bool) {
 // unions; complete by Theorem 6.10). ∃-ml[nFA] is non-emptiness of the
 // result.
 func (d *BoxDesign) MaximalLocalTypings() []WordTyping {
-	cells := d.Cells()
 	var out []WordTyping
 	for _, t := range d.maximalSoundTuples() {
-		typing := make(WordTyping, len(t))
-		for j := range t {
-			typing[j] = cellUnion(cells[j], t[j])
-		}
-		if d.Local(typing) {
+		if typing := d.tupleTyping(t); d.Local(typing) {
 			out = append(out, typing)
 		}
 	}
@@ -409,14 +457,9 @@ func (d *BoxDesign) ExistsMaximalLocal() (WordTyping, bool) {
 // results need not be local — Remark 2 notes they are the fallback when a
 // design admits no local typing.
 func (d *BoxDesign) MaximalSoundTypings() []WordTyping {
-	cells := d.Cells()
 	var out []WordTyping
 	for _, t := range d.maximalSoundTuples() {
-		typing := make(WordTyping, len(t))
-		for j := range t {
-			typing[j] = cellUnion(cells[j], t[j])
-		}
-		out = append(out, typing)
+		out = append(out, d.tupleTyping(t))
 	}
 	return out
 }
@@ -433,8 +476,8 @@ func (d *BoxDesign) QuasiPerfectTyping() (WordTyping, bool) {
 	return maximal[0], true
 }
 
-// isTrivialEps reports whether [a] = {ε}.
+// isTrivialEps reports whether [a] = {ε}: a accepts ε and no symbol lies
+// on an accepting path.
 func isTrivialEps(a *strlang.NFA) bool {
-	ok, _ := strlang.Equivalent(a, strlang.EpsLang())
-	return ok
+	return a.AcceptsEps() && len(a.UsefulSymbols()) == 0
 }
