@@ -18,33 +18,40 @@ import (
 	"dxml"
 )
 
+// experiments are the runnable experiments, in the order -exp all runs
+// them.
+var experiments = []struct {
+	name string
+	run  func()
+}{
+	{"table1", table1},
+	{"table2", table2},
+	{"table3", table3},
+	{"fig4", fig4},
+	{"fig5", fig5},
+	{"fig6", fig6},
+	{"fig7", fig7},
+	{"fig8", fig8},
+}
+
 func main() {
 	exp := flag.String("exp", "all", "experiment to run")
 	flag.Parse()
-	experiments := map[string]func(){
-		"table1": table1,
-		"table2": table2,
-		"table3": table3,
-		"fig4":   fig4,
-		"fig5":   fig5,
-		"fig6":   fig6,
-		"fig7":   fig7,
-		"fig8":   fig8,
-	}
-	if *exp == "all" {
-		for _, name := range []string{"table1", "table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig8"} {
-			fmt.Printf("######## %s ########\n", name)
-			experiments[name]()
+	for _, e := range experiments {
+		switch *exp {
+		case "all":
+			fmt.Printf("######## %s ########\n", e.name)
+			e.run()
 			fmt.Println()
+		case e.name:
+			e.run()
+			return
 		}
-		return
 	}
-	f, ok := experiments[*exp]
-	if !ok {
+	if *exp != "all" {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
-	f()
 }
 
 // table1 exhibits the expressiveness hierarchy of the schema abstractions

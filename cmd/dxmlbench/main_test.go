@@ -2,12 +2,10 @@ package main
 
 import "testing"
 
-// TestExperimentsRun smoke-tests the fast experiments end to end (the
-// heavy ones — table2/table3 — are exercised by `dxmlbench -exp all` and
-// the root benchmarks).
+// TestExperimentsRun runs every experiment end to end, as -exp all does
+// (about 0.3 s).
 func TestExperimentsRun(t *testing.T) {
-	table1()
-	fig4()
-	fig6()
-	fig8()
+	for _, e := range experiments {
+		t.Run(e.name, func(t *testing.T) { e.run() })
+	}
 }

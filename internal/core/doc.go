@@ -20,7 +20,12 @@
 // Dec(Ωi) cells and the sound cell-union tuples (Theorems 6.10–6.11). A
 // BoxDesign, WordDesign, DTDDesign, SDTDDesign or EDTDDesign builds each
 // of them on first use and reuses it in every procedure later called on
-// the same value — ∃-loc, ∃-ml, ∃-perf and the verifiers. Procedure
+// the same value — ∃-loc, ∃-ml, ∃-perf and the verifiers. The sound
+// tuples come from a frontier search: the target is determinized on
+// demand, each box and cell maps a state of that DFA to the set of states
+// its words reach, and a candidate is pruned or found sound by bitset
+// tests on the set its prefix reaches, with no automaton built per
+// candidate. Procedure
 // results are not kept, and every check of a typing passed in runs on
 // every call. Nothing is shared between design values. The consequences
 // for callers:

@@ -32,7 +32,9 @@ import (
 // A design derives its artifacts once: the perfect automaton Ω, the
 // Dec(Ωi) cells and the sound cell-union tuples of Theorem 6.11 are built
 // on first use and reused by every procedure later called on the same
-// value (∃-loc, ∃-ml, ∃-perf and the verifiers). Everything is rebuilt
+// value (∃-loc, ∃-ml, ∃-perf and the verifiers). The tuples come from a
+// frontier search over the target determinized on demand, which builds
+// no automaton per candidate (see searchSoundTuples). Everything is rebuilt
 // when Target or Kernel is replaced, the tuples also when
 // AllowTrivialTypes or DisableSearchPruning changes; everything that
 // depends on a typing passed in is checked on every call. A design is not
@@ -44,10 +46,13 @@ type BoxDesign struct {
 
 	AllowTrivialTypes bool
 
-	// DisableSearchPruning turns off the prefix-soundness pruning of the
-	// cell-union search. Only useful for the ablation benchmarks — the
-	// pruned and unpruned searches are equivalent, the unpruned one is
-	// just exponentially slower on designs like Figure 5's.
+	// DisableSearchPruning turns off the prefix pruning of the cell-union
+	// search: a candidate whose prefix B0 τ1 … B_{i+1} reaches the dead
+	// state of the determinized target is then extended anyway, and every
+	// combination of cell unions reaches the soundness test. Only useful
+	// for the ablation benchmarks — the pruned and unpruned searches
+	// return the same tuples, the unpruned one visits exponentially more
+	// candidates on designs like Figure 5's.
 	DisableSearchPruning bool
 
 	perfect *PerfectAutomaton
@@ -328,16 +333,26 @@ func (d *BoxDesign) soundTuples() []cellTuple {
 // nonempty cell subsets per function. This is the search space of
 // Theorem 6.11: every maximal sound typing is of this shape
 // (Theorem 6.10), so the enumeration is complete for ∃-loc and ∃-ml.
-// Worst-case exponential, matching the problems' EXPSPACE upper bounds;
-// branches whose partial extension already falls outside the prefixes of
-// [A] are pruned. A design with no functions has one candidate, the
-// empty typing, sound iff the kernel word alone is in [A].
+// Worst-case exponential, matching the problems' EXPSPACE upper bounds.
+// A design with no functions has one candidate, the empty typing, sound
+// iff the kernel word alone is in [A].
+//
+// The search runs over D, the target determinized on demand (see
+// frontier.go). Each level i carries the frontier of its prefix
+// B0 τ1 … Bi, the D-states its words reach, computed once and shared by
+// every extension. From it each cell c gets the frontier of
+// prefix · c · B_{i+1}; a candidate union's frontier is the union of its
+// cells'. A candidate whose frontier holds the dead state has a word that
+// is no prefix of [A] and is pruned, with all its extensions. At the last
+// level a candidate is sound iff its frontier holds only final D-states.
+// Candidates are visited in increasing mask order, function by function.
 func (d *BoxDesign) searchSoundTuples() []cellTuple {
 	cells := d.cellTable()
 	n := d.Kernel.NumFuncs()
 	// The cells are nonempty and pairwise disjoint, so a union of cells is
 	// {ε} exactly when it is a single cell that is {ε}.
 	trivial := make([][]bool, n)
+	noCandidate := false
 	for i, cs := range cells {
 		if len(cs) > 63 {
 			panic(fmt.Sprintf("core: function %d has %d Dec(Ωi) cells, beyond the 63-cell search bound", i+1, len(cs)))
@@ -348,49 +363,75 @@ func (d *BoxDesign) searchSoundTuples() []cellTuple {
 				trivial[i][c] = isTrivialEps(cell.Lang)
 			}
 		}
+		noCandidate = noCandidate || len(cs) == 0 || len(cs) == 1 && trivial[i][0]
 	}
-	// Prefix closure of the target: the trimmed automaton with every
-	// state final (all states are co-reachable after trimming).
-	pref, _ := d.Target.Trim()
-	prefAll := pref.Clone()
-	for q := 0; q < prefAll.NumStates(); q++ {
-		prefAll.MarkFinal(q)
+	if noCandidate {
+		// Some function has no cell union to try, so no tuple exists.
+		return nil
+	}
+	s := newFrontierSearch(d.Target, d.Kernel.Boxes, cells)
+	final := s.dfa.final
+	front := s.boxRow(0, s.dfa.start)
+	if n == 0 {
+		if front.SubsetOf(final) {
+			return []cellTuple{{}}
+		}
+		return nil
+	}
+	// imgs[i][c] is the frontier of the current prefix · c · B_{i+1};
+	// fronts[i] is the frontier entering level i (scratch for i > 0).
+	imgs := make([][]strlang.IntSet, n)
+	fronts := make([]strlang.IntSet, n)
+	for i, cs := range cells {
+		imgs[i] = make([]strlang.IntSet, len(cs))
+		for c := range cs {
+			imgs[i][c] = strlang.NewIntSet()
+		}
+		if i > 0 {
+			fronts[i] = strlang.NewIntSet()
+		}
 	}
 	var out []cellTuple
 	cur := make(cellTuple, n)
-	langs := make([]*strlang.NFA, n)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			typing := make(WordTyping, n)
-			copy(typing, langs)
-			if ok, _ := d.Sound(typing); ok {
-				out = append(out, slices.Clone(cur))
+	var rec func(i int, front strlang.IntSet)
+	rec = func(i int, front strlang.IntSet) {
+		last := i == n-1
+		var dead, unsound uint64 // cell masks
+		for c, img := range imgs[i] {
+			img.Clear()
+			for q := range front.All() {
+				img.AddAll(s.cellRow(i, c, int32(q)))
 			}
-			return
+			if img.Has(deadState) {
+				dead |= 1 << c
+			}
+			if last && !img.SubsetOf(final) {
+				unsound |= 1 << c
+			}
 		}
 		for mask := uint64(1); mask < 1<<len(cells[i]); mask++ {
 			if mask&(mask-1) == 0 && trivial[i][bits.TrailingZeros64(mask)] {
 				continue
 			}
 			cur[i] = mask
-			langs[i] = cellUnion(cells[i], mask)
-			// Prefix pruning: B0 τ1 B1 … τ_{i+1} must stay within the
-			// prefixes of [A].
-			if !d.DisableSearchPruning {
-				parts := make([]*strlang.NFA, 0, 2*i+2)
-				for j := 0; j <= i; j++ {
-					parts = append(parts, strlang.BoxNFA(d.Kernel.Boxes[j]), langs[j])
+			if last {
+				if mask&unsound == 0 {
+					out = append(out, slices.Clone(cur))
 				}
-				prefix := strlang.ConcatAll(parts...)
-				if ok, _ := strlang.Included(prefix, prefAll); !ok {
-					continue
-				}
+				continue
 			}
-			rec(i + 1)
+			if !d.DisableSearchPruning && mask&dead != 0 {
+				continue
+			}
+			next := fronts[i+1]
+			next.Clear()
+			for m := mask; m != 0; m &= m - 1 {
+				next.AddAll(imgs[i][bits.TrailingZeros64(m)])
+			}
+			rec(i+1, next)
 		}
 	}
-	rec(0)
+	rec(0, front)
 	return out
 }
 

@@ -172,6 +172,14 @@ func (a *NFA) SuccID(q int, sid int32) []int32 {
 	return a.trans[q].get(sid)
 }
 
+// Edges returns the symbol transitions of q as parallel slices: the
+// interned symbol ids, ascending, and each one's sorted targets (shared;
+// do not mutate).
+func (a *NFA) Edges(q int) ([]int32, [][]int32) {
+	r := &a.trans[q]
+	return r.syms, r.ts
+}
+
 // AlphabetIDs returns the interned ids of the symbols appearing on
 // transitions, sorted by symbol name (shared slice; do not mutate).
 func (a *NFA) AlphabetIDs() []int32 {

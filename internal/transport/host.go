@@ -57,12 +57,15 @@ type Gate interface {
 	OpenStream(fn string) error
 	CloseStream(fn string)
 	// VerdictServed records one answered (non-canceled) verdict request.
+	// It is called before the verdict frame is written, so a client that
+	// has read the verdict finds it counted.
 	VerdictServed(fn string)
 	// ChunkShipped records one chunk frame's payload bytes (fragment or
 	// snapshot).
 	ChunkShipped(bytes int)
-	// FragmentDelivered records one fully delivered fragment (its End
-	// frame was sent).
+	// FragmentDelivered records one fully delivered fragment: every
+	// chunk was sent, and it is called just before the End frame is
+	// written.
 	FragmentDelivered(fn string)
 	// EditShipped records one edit frame's wire size.
 	EditShipped(bytes int)
@@ -408,10 +411,14 @@ func (h *Host) serveSession(c net.Conn) {
 				delete(s.verdicts, id)
 				s.mu.Unlock()
 				vcancel()
-				if !canceled && s.send(frame{typ: frameVerdict, id: id, flag: v}) == nil {
-					if s.gate != nil {
-						s.gate.VerdictServed(fn)
-					}
+				if canceled {
+					return
+				}
+				// Counted before the write, like a delivered fragment.
+				if s.gate != nil {
+					s.gate.VerdictServed(fn)
+				}
+				if s.send(frame{typ: frameVerdict, id: id, flag: v}) == nil {
 					s.obs.Span(obs.Span{Trace: s.trace, Name: "verdict", Frag: fn, Start: start, End: spanClock(s.obs)})
 				}
 			}(f.id, f.str)
@@ -609,9 +616,12 @@ func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, s
 		Start: chunksStart, Bytes: st.sentBytes, N: int64(st.sentChunks)}
 	switch {
 	case err == nil:
-		if s.send(frame{typ: frameEnd, id: id}) == nil && s.gate != nil {
+		// Counted before the End frame is written: a client that has read
+		// the End must find the fragment counted.
+		if s.gate != nil {
 			s.gate.FragmentDelivered(fn)
 		}
+		s.send(frame{typ: frameEnd, id: id})
 	case sctx.Err() != nil:
 		// Rejected or torn down: the receiver is not listening.
 		span.Err = "rejected"
