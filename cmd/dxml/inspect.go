@@ -133,6 +133,9 @@ func RunInspect(path string) (string, error) {
 		case "ack":
 			fmt.Fprintf(&b, " acked=%d", info.Ver)
 		case "reject", "stream_err", "error", "refuse":
+			if info.Flag != 0 { // the refuse code of a refusal
+				fmt.Fprintf(&b, " code=%d", info.Flag)
+			}
 			if info.Str != "" {
 				fmt.Fprintf(&b, " msg=%q", info.Str)
 			}

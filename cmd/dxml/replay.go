@@ -146,6 +146,7 @@ func RunReplay(df *DesignFile, recs []dxml.FlightRecord) (string, []string, erro
 	funcs := df.Kernel.Funcs()
 
 	var diverged []string
+	var missing []string // neither verdict nor completed transfer captured
 	distributed := true
 	complete := true
 	trees := map[string]*dxml.Tree{}
@@ -159,7 +160,7 @@ func RunReplay(df *DesignFile, recs []dxml.FlightRecord) (string, []string, erro
 			if v, seen := s.verdicts[fn]; seen {
 				distributed = distributed && v
 			} else {
-				return "", nil, fmt.Errorf("replay: no verdict or fragment captured for docking point %s", fn)
+				missing = append(missing, fn)
 			}
 			continue
 		}
@@ -175,6 +176,12 @@ func RunReplay(df *DesignFile, recs []dxml.FlightRecord) (string, []string, erro
 			return "", nil, fmt.Errorf("replay: %s: reassembled fragment does not parse: %w", fn, err)
 		}
 		trees[fn] = tree
+	}
+
+	if len(missing) > 0 && distributed {
+		// A short-circuited round cancels the verdicts still in flight
+		// once one is invalid; without such a verdict a gap is a gap.
+		return "", nil, fmt.Errorf("replay: no verdict or fragment captured for docking point %s", missing[0])
 	}
 
 	var b strings.Builder

@@ -33,7 +33,10 @@
 // peers on a socket and Network.DialTCP joins them as the kernel peer,
 // speaking a length-prefixed binary frame protocol (session hello with
 // a design digest, per-fragment open/chunk/ack/close frames, and a
-// reject frame that halts a sender mid-transfer). Transfers flow under
+// reject frame that halts a sender mid-transfer). In process, one-shot
+// rounds use a channel handoff, while live sessions run the TCP host's
+// serving loop over an in-memory pipe, so they share its credit
+// windows, resume, refusals and deadlines by construction. Transfers flow under
 // credit-based sliding-window control: the hello requests a window of
 // chunk credits (Network.Window, DefaultWindow), the host grants up to
 // its own cap, and the sender pipelines up to that many chunks past
@@ -55,7 +58,8 @@
 // edits (replace / insert / delete) that any number of subscribers
 // drain. Network.AttachEditor makes a peer editable; Network.OpenLive
 // turns the kernel peer into a live session: it pulls each fragment's
-// keyed snapshot, subscribes to the edit logs over either transport
+// keyed snapshot, subscribes to the edit logs over a TCP or in-memory
+// connection
 // (edit / ack / verdict-update frames — edits stay stop-and-wait; only
 // chunked fragment transfers pipeline under the credit window), and
 // maintains the global verdict by *incremental

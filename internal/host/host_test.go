@@ -234,36 +234,61 @@ func TestResidentByteBudget(t *testing.T) {
 }
 
 // TestStreamCaps: the open-transfer cap refuses a second concurrent
-// stream with a typed error and releases the slot when the first ends.
+// stream with a typed error and releases the slot when the first ends,
+// in frame order: a client that has aborted a stream or read its End
+// reopens at once. In process and over TCP alike.
 func TestStreamCaps(t *testing.T) {
-	reg := NewRegistry(Config{MaxTenantStreams: 1})
-	d := miniDesign(1, 300)
-	if err := reg.Register(d); err != nil {
-		t.Fatal(err)
+	open := map[string]func(t *testing.T, r *Registry, digest []byte) transport.Session{
+		"inproc": func(t *testing.T, r *Registry, digest []byte) transport.Session {
+			s, err := r.Session(digest, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"tcp": func(t *testing.T, r *Registry, digest []byte) transport.Session {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServer(r, ln, nil)
+			t.Cleanup(func() { srv.Close() })
+			c, err := transport.Dial(srv.Addr().String(), transport.Config{Digest: digest, Chunk: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
 	}
-	s, err := reg.Session(d.Digest, 16)
-	if err != nil {
-		t.Fatal(err)
+	for name, dial := range open {
+		t.Run(name, func(t *testing.T) {
+			reg := NewRegistry(Config{MaxTenantStreams: 1})
+			d := miniDesign(1, 300)
+			if err := reg.Register(d); err != nil {
+				t.Fatal(err)
+			}
+			s := dial(t, reg, d.Digest)
+			defer s.Close()
+			frag, err := s.Open(context.Background(), "f1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Open(context.Background(), "f1"); !errors.Is(err, transport.ErrOverCapacity) {
+				t.Fatalf("second concurrent stream under cap 1: want ErrOverCapacity, got %v", err)
+			}
+			frag.Abort()
+			frag2, err := s.Open(context.Background(), "f1")
+			if err != nil {
+				t.Fatalf("slot not released by abort: %v", err)
+			}
+			drain(t, frag2)
+			frag3, err := s.Open(context.Background(), "f1")
+			if err != nil {
+				t.Fatalf("slot not released by EOF: %v", err)
+			}
+			frag3.Abort()
+		})
 	}
-	defer s.Close()
-	frag, err := s.Open(context.Background(), "f1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Open(context.Background(), "f1"); !errors.Is(err, transport.ErrOverCapacity) {
-		t.Fatalf("second concurrent stream under cap 1: want ErrOverCapacity, got %v", err)
-	}
-	frag.Abort()
-	frag2, err := s.Open(context.Background(), "f1")
-	if err != nil {
-		t.Fatalf("slot not released by abort: %v", err)
-	}
-	drain(t, frag2)
-	frag3, err := s.Open(context.Background(), "f1")
-	if err != nil {
-		t.Fatalf("slot not released by EOF: %v", err)
-	}
-	frag3.Abort()
 }
 
 // TestMetricsMatchClientStats is the accounting acceptance check: after

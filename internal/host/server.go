@@ -38,20 +38,39 @@ func NewServer(reg *Registry, ln, httpLn net.Listener) *Server {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.healthz)
 	s.mux.HandleFunc("/metrics", s.metrics)
-	hcfg := transport.HostConfig{Router: reg, Timeout: reg.cfg.Timeout, Window: reg.cfg.Window, Obs: reg.cfg.Obs,
-		OnError: reg.cfg.OnWireError}
 	if reg.cfg.Flight != nil {
-		// Assign only a non-nil recorder: a typed-nil *Recorder in the
-		// Tap interface would defeat the transport's tap == nil check.
-		hcfg.Tap = reg.cfg.Flight
 		s.mux.HandleFunc("/debug/flight", s.debugFlight)
 	}
-	s.host = transport.NewHost(ln, hcfg)
+	s.host = transport.NewHost(ln, reg.hostConfig())
 	if httpLn != nil {
 		s.hsrv = &http.Server{Handler: s.mux}
 		go s.hsrv.Serve(httpLn)
 	}
 	return s
+}
+
+// hostConfig is how the registry's sessions are served, over TCP
+// (NewServer) or in process (Session) alike.
+func (r *Registry) hostConfig() transport.HostConfig {
+	hcfg := transport.HostConfig{Router: r, Timeout: r.cfg.Timeout, Window: r.cfg.Window, Obs: r.cfg.Obs,
+		OnError: r.cfg.OnWireError}
+	if r.cfg.Flight != nil {
+		// Assign only a non-nil recorder: a typed-nil *Recorder in the
+		// Tap interface would defeat the transport's tap == nil check.
+		hcfg.Tap = r.cfg.Flight
+	}
+	return hcfg
+}
+
+// Session opens an in-process session against the registry: a
+// transport.Pipe served exactly as NewServer serves a TCP hello, so
+// admission, routing, stream caps, accounting, deadlines, the flight
+// tap and obs are the wire's own. An unknown digest is refused with
+// transport.ErrUnknownDesign and an over-budget hello with
+// transport.ErrOverCapacity. Close the session to release its
+// admission slot; Close returns once it is released.
+func (r *Registry) Session(digest []byte, chunk int) (*transport.Conn, error) {
+	return transport.Pipe(r.hostConfig(), transport.Config{Digest: digest, Chunk: chunk})
 }
 
 // Registry is the server's design registry.

@@ -98,13 +98,14 @@ func TestChaosDifferential(t *testing.T) {
 		t.Run("inproc", func(t *testing.T) {
 			n := liveSetup(t, 64)
 			n.Window = window
-			inner, err := n.localSession(nil)
+			inner, err := n.pipeSession()
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer inner.Close()
 			n.Transport = chaos.Wrap(inner, sched)
-			n.Redial = func() (transport.Session, error) {
-				s, err := n.localSession(nil)
+			n.Redial = func() (transport.LiveSession, error) {
+				s, err := n.pipeSession()
 				if err != nil {
 					return nil, err
 				}
@@ -123,7 +124,7 @@ func TestChaosDifferential(t *testing.T) {
 			defer shutdown()
 			joined.Transport = chaos.Wrap(joined.Transport, sched)
 			redial := joined.Redial
-			joined.Redial = func() (transport.Session, error) {
+			joined.Redial = func() (transport.LiveSession, error) {
 				s, err := redial()
 				if err != nil {
 					return nil, err
@@ -351,10 +352,11 @@ func TestKillAndReconnectResumesBySuffix(t *testing.T) {
 // verdict are exact again.
 func TestCompactionFallbackRebuilds(t *testing.T) {
 	n := liveSetup(t, 64)
-	inner, err := n.localSession(nil)
+	inner, err := n.pipeSession()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer inner.Close()
 	// One scripted drop: it fires on f1's first armed NextEdit call —
 	// the one issued right after f1 delivers its first edit. Only f1's
 	// feed goes through the chaos session: a sibling drain whose first
@@ -471,10 +473,11 @@ func TestCompactionFallbackRebuilds(t *testing.T) {
 // never a hang or a wrong verdict.
 func TestReconnectDisabledSurfacesTypedError(t *testing.T) {
 	n := liveSetup(t, 64)
-	inner, err := n.localSession(nil)
+	inner, err := n.pipeSession()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer inner.Close()
 	sched := chaos.Script(chaos.FaultDrop).Arm(false)
 	n.Transport = chaos.Wrap(inner, sched)
 	lv, err := n.OpenLive(context.Background())

@@ -120,7 +120,7 @@ func (s *peerSource) OpenLive(ctx context.Context) (transport.LiveFeedSrc, error
 	return &editorFeedSrc{ed: ed, snap: snap, version: version}, nil
 }
 
-// OpenLiveSince implements transport.ResumableSource: when the editor's
+// OpenLiveSince completes transport.LiveSource: when the editor's
 // log still reaches back to `after`, the subscriber resumes by suffix —
 // no snapshot travels. When the log was compacted past it, the fallback
 // is a fresh full cut, decided atomically under the editor's lock
@@ -211,7 +211,7 @@ const verdictUpdateWireSize = 14
 // incremental result tree, advanced by the docking points' edit feeds.
 type LiveFederation struct {
 	n    *Network
-	sess transport.Session
+	sess transport.LiveSession
 	own  bool // session built for this live run: close it on Close
 
 	ctx         context.Context
@@ -224,8 +224,8 @@ type LiveFederation struct {
 	inc      *stream.Incremental
 	replicas map[string]*live.Doc
 	feeds    map[string]transport.EditFeed
-	extra    map[string]transport.Session // per-fn redialed sessions (reconnects), closed on Close
-	stale    map[string]bool              // docking points currently in outage
+	extra    map[string]transport.LiveSession // per-fn redialed sessions (reconnects), closed on Close
+	stale    map[string]bool                  // docking points currently in outage
 	valid    bool
 
 	rngMu sync.Mutex
@@ -241,15 +241,21 @@ type LiveFederation struct {
 // available immediately (Valid); per-edit updates flow on Updates until
 // Close. Edits from different docking points are serialized through one
 // lock, so the maintained verdict is always the verdict of a real
-// interleaving of the feeds.
+// interleaving of the feeds. With no Transport the session is a
+// transport.Pipe to this network's own peers, owned by the live run.
 func (n *Network) OpenLive(ctx context.Context) (*LiveFederation, error) {
-	sess, err := n.session()
-	if err != nil {
-		return nil, err
-	}
-	ls, ok := sess.(transport.LiveSession)
-	if !ok {
-		return nil, fmt.Errorf("p2p: transport %T does not support live sessions", sess)
+	var ls transport.LiveSession
+	if n.Transport == nil {
+		c, err := n.pipeSession()
+		if err != nil {
+			return nil, err
+		}
+		ls = c
+	} else {
+		var ok bool
+		if ls, ok = n.Transport.(transport.LiveSession); !ok {
+			return nil, fmt.Errorf("p2p: transport %T does not support live sessions", n.Transport)
+		}
 	}
 	lctx, cancel := context.WithCancel(ctx)
 	seed := n.Reconnect.Seed
@@ -257,11 +263,11 @@ func (n *Network) OpenLive(ctx context.Context) (*LiveFederation, error) {
 		seed = 1
 	}
 	lv := &LiveFederation{
-		n: n, sess: sess, own: n.Transport == nil,
+		n: n, sess: ls, own: n.Transport == nil,
 		ctx: lctx, cancel: cancel,
 		replicas: map[string]*live.Doc{},
 		feeds:    map[string]transport.EditFeed{},
-		extra:    map[string]transport.Session{},
+		extra:    map[string]transport.LiveSession{},
 		stale:    map[string]bool{},
 		rng:      rand.New(rand.NewSource(seed)),
 		updates:  make(chan LiveUpdate, 16),
@@ -271,6 +277,9 @@ func (n *Network) OpenLive(ctx context.Context) (*LiveFederation, error) {
 			f.Close()
 		}
 		cancel()
+		if lv.own {
+			ls.Close()
+		}
 		return nil, err
 	}
 	frags := map[string]*xmltree.Tree{}
@@ -504,29 +513,15 @@ func (lv *LiveFederation) sleep(d time.Duration) bool {
 // survived), then — if the network can redial — on a fresh session,
 // which replaces fn's session for the rest of the run.
 func (lv *LiveFederation) resubscribe(fn string, after uint64) (transport.EditFeed, error) {
-	var lastErr error
-	if rs, ok := lv.sessionFor(fn).(transport.ResumableSession); ok {
-		feed, err := rs.Resubscribe(lv.ctx, fn, after)
-		if err == nil {
-			return feed, nil
-		}
-		lastErr = err
-	} else {
-		lastErr = fmt.Errorf("p2p: session for %s does not support resumed subscriptions", fn)
-	}
-	if lv.n.Redial == nil {
-		return nil, lastErr
+	feed, err := lv.sessionFor(fn).Resubscribe(lv.ctx, fn, after)
+	if err == nil || lv.n.Redial == nil {
+		return feed, err
 	}
 	ns, err := lv.n.Redial()
 	if err != nil {
 		return nil, err
 	}
-	rs, ok := ns.(transport.ResumableSession)
-	if !ok {
-		ns.Close()
-		return nil, fmt.Errorf("p2p: redialed session does not support resumed subscriptions")
-	}
-	feed, err := rs.Resubscribe(lv.ctx, fn, after)
+	feed, err = ns.Resubscribe(lv.ctx, fn, after)
 	if err != nil {
 		ns.Close()
 		return nil, err
@@ -540,7 +535,7 @@ func (lv *LiveFederation) resubscribe(fn string, after uint64) (transport.EditFe
 	return feed, nil
 }
 
-func (lv *LiveFederation) sessionFor(fn string) transport.Session {
+func (lv *LiveFederation) sessionFor(fn string) transport.LiveSession {
 	lv.mu.Lock()
 	defer lv.mu.Unlock()
 	if s := lv.extra[fn]; s != nil {

@@ -3,6 +3,7 @@ package p2p
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -298,5 +299,33 @@ func TestOpenLiveRequiresEditors(t *testing.T) {
 	attachValidDocs(t, n, typing, []int{1, 1, 1})
 	if _, err := n.OpenLive(context.Background()); err == nil {
 		t.Fatal("OpenLive without editors should fail")
+	}
+}
+
+// TestOpenLiveFailureLeavesNoGoroutine: an in-process OpenLive that
+// fails part-way (one peer has no editor, so its subscription is
+// refused after the others succeeded) closes the pipe it dialed, and
+// with it the host side, the read loop and the heartbeat.
+func TestOpenLiveFailureLeavesNoGoroutine(t *testing.T) {
+	n, typing := eurostatSetup(t)
+	attachValidDocs(t, n, typing, []int{1, 1, 1})
+	funcs := n.Kernel.Funcs()
+	for _, fn := range funcs[:len(funcs)-1] {
+		if _, err := n.AttachEditor(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := runtime.NumGoroutine()
+	if _, err := n.OpenLive(context.Background()); err == nil {
+		t.Fatal("OpenLive with a peer lacking an editor should fail")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before OpenLive, %d after:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

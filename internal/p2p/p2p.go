@@ -347,7 +347,8 @@ type Network struct {
 
 	// Transport, when non-nil, is the session the kernel peer validates
 	// over — typically DialTCP's federation of remote hosts. When nil,
-	// validation runs over the in-process transport against Peers.
+	// one-shot rounds run over the in-process transport against Peers,
+	// and OpenLive serves Peers over a transport.Pipe.
 	Transport transport.Session
 
 	// MaxInflight bounds how many fragment transfers the kernel peer
@@ -372,7 +373,7 @@ type Network struct {
 	// — the live session's recovery path when resubscribing on the
 	// existing (dead) session fails. DialTCP sets it automatically to
 	// redial the same address map.
-	Redial func() (transport.Session, error)
+	Redial func() (transport.LiveSession, error)
 
 	// Obs, when non-nil, receives the federation's telemetry: fragment
 	// lifecycle latency, per-document validation timing, live-session
@@ -590,16 +591,38 @@ func (n *Network) ServeTCP(ln net.Listener) *transport.Host {
 // n.Redial to redial the same address map, so a live session under a
 // Reconnect policy can recover from a dropped host connection.
 func (n *Network) DialTCP(addrs map[string]string) (transport.Session, error) {
-	n.Redial = func() (transport.Session, error) { return n.dialTCP(addrs) }
+	n.Redial = func() (transport.LiveSession, error) { return n.dialTCP(addrs) }
 	return n.dialTCP(addrs)
 }
 
-func (n *Network) dialTCP(addrs map[string]string) (transport.Session, error) {
+// dialConfig is the kernel peer's end of every session this network
+// dials: its design digest, chunk budget, credit window, obs and tap.
+func (n *Network) dialConfig() (transport.Config, error) {
 	win, err := n.window()
+	if err != nil {
+		return transport.Config{}, err
+	}
+	return transport.Config{Digest: n.Digest(), Chunk: n.chunkBudget(), Window: win, Obs: n.Obs, Tap: n.Tap}, nil
+}
+
+// pipeSession serves this network's own peers on one end of a
+// transport.Pipe and dials the other: the in-process wire for live
+// sessions. The tap records the kernel peer's end only, as a capture
+// of a TCP join does.
+func (n *Network) pipeSession() (*transport.Conn, error) {
+	cfg, err := n.dialConfig()
 	if err != nil {
 		return nil, err
 	}
-	cfg := transport.Config{Digest: n.Digest(), Chunk: n.chunkBudget(), Window: win, Obs: n.Obs, Tap: n.Tap}
+	return transport.Pipe(transport.HostConfig{Digest: cfg.Digest, Sources: n.HostSources(), Obs: n.Obs,
+		OnError: n.OnWireError}, cfg)
+}
+
+func (n *Network) dialTCP(addrs map[string]string) (transport.LiveSession, error) {
+	cfg, err := n.dialConfig()
+	if err != nil {
+		return nil, err
+	}
 	byAddr := map[string]*transport.Conn{}
 	multi := transport.Multi{}
 	for _, fn := range n.Kernel.Funcs() {

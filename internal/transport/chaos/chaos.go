@@ -176,8 +176,8 @@ func (s *Schedule) sleep() {
 
 // Session wraps a transport session with fault injection. It implements
 // transport.Session, and forwards live subscriptions (Subscribe /
-// Resubscribe) when the wrapped session supports them, so both
-// transports run under the same chaos.
+// Resubscribe) when the wrapped session is a transport.LiveSession, so
+// one-shot and live sessions run under the same chaos.
 type Session struct {
 	inner transport.Session
 	sched *Schedule
@@ -250,6 +250,21 @@ func (s *Session) Open(ctx context.Context, fn string) (transport.Fragment, erro
 // deliveries (NextChunk/NextEdit), where the consumer has a recovery
 // path scoped to that one subscription.
 func (s *Session) Subscribe(ctx context.Context, fn string) (transport.EditFeed, error) {
+	return s.subscribe(func(ls transport.LiveSession) (transport.EditFeed, error) {
+		return ls.Subscribe(ctx, fn)
+	})
+}
+
+// Resubscribe forwards a resumed subscription under chaos.
+func (s *Session) Resubscribe(ctx context.Context, fn string, after uint64) (transport.EditFeed, error) {
+	return s.subscribe(func(ls transport.LiveSession) (transport.EditFeed, error) {
+		return ls.Resubscribe(ctx, fn, after)
+	})
+}
+
+// subscribe runs one subscription handshake on the wrapped live
+// session, delayed but never dropped, and puts the feed under chaos.
+func (s *Session) subscribe(open func(transport.LiveSession) (transport.EditFeed, error)) (transport.EditFeed, error) {
 	ls, ok := s.inner.(transport.LiveSession)
 	if !ok {
 		return nil, fmt.Errorf("chaos: wrapped session %T does not support live subscriptions", s.inner)
@@ -260,26 +275,7 @@ func (s *Session) Subscribe(ctx context.Context, fn string) (transport.EditFeed,
 	if s.sched.draw(FaultDelay) == FaultDelay {
 		s.sched.sleep()
 	}
-	feed, err := ls.Subscribe(ctx, fn)
-	if err != nil {
-		return nil, err
-	}
-	return &editFeed{s: s, inner: feed}, nil
-}
-
-// Resubscribe forwards a resumed subscription under chaos.
-func (s *Session) Resubscribe(ctx context.Context, fn string, after uint64) (transport.EditFeed, error) {
-	rs, ok := s.inner.(transport.ResumableSession)
-	if !ok {
-		return nil, fmt.Errorf("chaos: wrapped session %T does not support resumed subscriptions", s.inner)
-	}
-	if err := s.alive(); err != nil {
-		return nil, err
-	}
-	if s.sched.draw(FaultDelay) == FaultDelay {
-		s.sched.sleep()
-	}
-	feed, err := rs.Resubscribe(ctx, fn, after)
+	feed, err := open(ls)
 	if err != nil {
 		return nil, err
 	}

@@ -28,9 +28,11 @@ const (
 	// (the hello's window grant, its echo on begin/subscribed, and the
 	// ack frame's cumulative consumed-chunk count); v5 widened the hello
 	// with a trace ID, minted by the dialing peer so both processes'
-	// telemetry spans for one session carry the same ID. None is
-	// wire-compatible with its predecessor.
-	protocolVersion = 5
+	// telemetry spans for one session carry the same ID; v6 added the
+	// stream-error frame's refuse code, so a stream refused by admission
+	// control is as typed as a refused hello. None is wire-compatible
+	// with its predecessor.
+	protocolVersion = 6
 
 	// maxFramePayload caps one frame's payload (type byte excluded).
 	// Chunked transfers stay far below it; it exists so unchunked
@@ -116,7 +118,7 @@ const (
 	// id, reason. The sender stops serializing immediately.
 	frameReject
 	// frameStreamErr (server→client) fails one stream without killing
-	// the session: stream id, reason.
+	// the session: stream id, RefuseCode (0: not a refusal), reason.
 	frameStreamErr
 	// frameVerdictCancel (client→server) withdraws a verdict request
 	// whose round was short-circuited: request id. The host cancels the
@@ -176,7 +178,7 @@ type frame struct {
 	size uint64   // announced fragment size (begin), snapshot size (subscribed)
 	ver  uint64   // edit-log version (subscribed/edit/editAck/verdictUpdate/resume); cumulative consumed-chunk count (ack); trace ID (hello)
 	win  uint32   // credit window: requested (hello), effective echo (begin/subscribed)
-	flag byte     // verdict (verdict/verdictUpdate), version (hello/welcome), op (edit), resumed (subscribed)
+	flag byte     // verdict (verdict/verdictUpdate), version (hello/welcome), op (edit), resumed (subscribed), refuse code (refuse/streamErr)
 	str  string   // fn (open/verdictReq/subscribe/resume), reason (reject/streamErr/error)
 	addr []uint64 // prefix address (edit); decoded fresh per frame
 	data []byte   // chunk payload (chunk), digest (hello/welcome), edit payload (edit)
@@ -198,10 +200,12 @@ func (t frameType) fixedLen() (int, error) {
 		return 1, nil // version
 	case frameError:
 		return 0, nil
-	case frameVerdictReq, frameOpen, frameEnd, frameReject, frameStreamErr, frameChunk, frameVerdictCancel, frameSubscribe, framePing, framePong:
+	case frameVerdictReq, frameOpen, frameEnd, frameReject, frameChunk, frameVerdictCancel, frameSubscribe, framePing, framePong:
 		return 4, nil // id
 	case frameVerdict:
 		return 5, nil // id + verdict
+	case frameStreamErr:
+		return 5, nil // id + refuse code
 	case frameRefuse:
 		return 1, nil // refuse code
 	case frameAck:
@@ -262,7 +266,7 @@ func (fw *frameWriter) write(f frame) error {
 		b = binary.BigEndian.AppendUint64(b, f.ver)
 	case frameWelcome:
 		b = append(b, f.flag)
-	case frameVerdict:
+	case frameVerdict, frameStreamErr:
 		b = binary.BigEndian.AppendUint32(b, f.id)
 		b = append(b, f.flag)
 	case frameRefuse:
@@ -483,8 +487,12 @@ func (fr *frameReader) read() (frame, error) {
 			}
 		}
 		f.data = tail[8*n:]
-	case frameReject, frameStreamErr:
+	case frameReject:
 		f.id = binary.BigEndian.Uint32(p[0:4])
+		f.str = string(tail)
+	case frameStreamErr:
+		f.id = binary.BigEndian.Uint32(p[0:4])
+		f.flag = p[4]
 		f.str = string(tail)
 	}
 	if fr.tap != nil {

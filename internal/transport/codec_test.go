@@ -32,6 +32,7 @@ func sampleFrames() []frame {
 		{typ: frameEnd, id: 9},
 		{typ: frameReject, id: 9, str: "rejected by receiver"},
 		{typ: frameStreamErr, id: 9, str: "no such docking point"},
+		{typ: frameStreamErr, id: 9, flag: uint8(RefuseOverCapacity), str: "tenant open-transfer cap reached"},
 		{typ: frameSubscribe, id: 11, str: "f1"},
 		{typ: frameSubscribed, id: 11, ver: 42, size: 1 << 20, win: 1},
 		{typ: frameEdit, id: 11, ver: 43, flag: 1, addr: []uint64{1 << 32, 3 << 31}, data: []byte("<p/>\n")},

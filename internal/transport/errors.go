@@ -95,11 +95,13 @@ const (
 	RefuseOverCapacity
 )
 
-// RefusedError is a hello refused by the host: the machine-readable
-// code plus the host's reason. It unwraps to ErrUnknownDesign or
-// ErrOverCapacity by code, so both errors.Is probes and the message
-// work. Hosts return it from a Router to refuse with a typed cause;
-// Dial returns it when the host answers the hello with a refuse frame.
+// RefusedError is a hello or a stream refused by the host: the
+// machine-readable code plus the host's reason. It unwraps to
+// ErrUnknownDesign or ErrOverCapacity by code, so both errors.Is probes
+// and the message work. Hosts return it from a Router or a Gate to
+// refuse with a typed cause; Dial and Pipe return it when the host
+// answers the hello with a refuse frame, and Conn.Open and Subscribe
+// wrap it when a stream error frame carries a refuse code.
 type RefusedError struct {
 	Code   RefuseCode
 	Reason string

@@ -52,8 +52,12 @@ type Route struct {
 type Gate interface {
 	// OpenStream is called before a fragment or subscription stream is
 	// served; a non-nil error refuses the stream (a stream error frame,
-	// never a hang). CloseStream is called exactly once for every
-	// admitted stream when it ends.
+	// typed when the error is a *RefusedError — never a hang).
+	// CloseStream is called exactly once for every admitted stream, in
+	// frame order: when the client's reject frame is read, just before
+	// a fragment's End frame is written, or when the stream fails — so
+	// a client that has aborted a stream or read its End can reopen
+	// under the same cap at once.
 	OpenStream(fn string) error
 	CloseStream(fn string)
 	// VerdictServed records one answered (non-canceled) verdict request.
@@ -214,10 +218,12 @@ func (h *Host) acceptLoop() {
 // channel, a duplicated ack (same cumulative count) grants nothing.
 // Edit delivery stays stop-and-wait on its own token channel.
 type hostStream struct {
-	acked   atomic.Uint64
-	ackCh   chan struct{}
-	editAck chan struct{}
-	cancel  context.CancelFunc
+	acked    atomic.Uint64
+	ackCh    chan struct{}
+	editAck  chan struct{}
+	cancel   context.CancelFunc
+	fn       string
+	released atomic.Bool // the admission slot went back to the gate
 
 	// sendNs, allocated only when the host is instrumented, is a ring of
 	// send timestamps (collector nanos) indexed by chunk ordinal % win.
@@ -236,8 +242,8 @@ type hostStream struct {
 	sentBytes  int64
 }
 
-func newHostStream(cancel context.CancelFunc) *hostStream {
-	return &hostStream{ackCh: make(chan struct{}, 1), editAck: make(chan struct{}, 1), cancel: cancel}
+func newHostStream(cancel context.CancelFunc, fn string) *hostStream {
+	return &hostStream{ackCh: make(chan struct{}, 1), editAck: make(chan struct{}, 1), cancel: cancel, fn: fn}
 }
 
 // session is one kernel peer's connection.
@@ -439,16 +445,16 @@ func (h *Host) serveSession(c net.Conn) {
 				continue
 			}
 			if err := s.admitStream(f.str); err != nil {
-				s.send(frame{typ: frameStreamErr, id: f.id, str: err.Error()})
+				s.streamErr(f.id, err)
 				continue
 			}
 			sctx, scancel := context.WithCancel(ctx)
-			st := newHostStream(scancel)
+			st := newHostStream(scancel, f.str)
 			s.mu.Lock()
 			s.streams[f.id] = st
 			s.mu.Unlock()
 			s.wg.Add(1)
-			go s.serveStream(sctx, f.id, st, src, budget, win, f.str)
+			go s.serveStream(sctx, f.id, st, src, budget, win)
 
 		case frameSubscribe, frameResume:
 			src, ok := s.sources[f.str]
@@ -456,49 +462,40 @@ func (h *Host) serveSession(c net.Conn) {
 				s.send(frame{typ: frameStreamErr, id: f.id, str: "no such docking point: " + f.str})
 				continue
 			}
-			if err := s.admitStream(f.str); err != nil {
-				s.send(frame{typ: frameStreamErr, id: f.id, str: err.Error()})
+			ls, ok := src.(LiveSource)
+			if !ok {
+				s.send(frame{typ: frameStreamErr, id: f.id, str: "docking point is not live: " + f.str})
 				continue
 			}
+			if err := s.admitStream(f.str); err != nil {
+				s.streamErr(f.id, err)
+				continue
+			}
+			sctx, scancel := context.WithCancel(ctx)
+			st := newHostStream(scancel, f.str)
 			var lf LiveFeedSrc
 			var resumed bool
 			var err error
 			if f.typ == frameResume {
-				rs, ok := src.(ResumableSource)
-				if !ok {
-					s.releaseStream(f.str)
-					s.send(frame{typ: frameStreamErr, id: f.id, str: "docking point does not support resumed subscriptions: " + f.str})
-					continue
-				}
-				sctx, scancel := context.WithCancel(ctx)
-				lf, resumed, err = rs.OpenLiveSince(sctx, f.ver)
-				if err != nil {
-					scancel()
-					s.releaseStream(f.str)
-					s.send(frame{typ: frameStreamErr, id: f.id, str: err.Error()})
-					continue
-				}
-				if s.gate != nil {
-					s.gate.Resumed(f.str)
-				}
-				s.startLive(sctx, scancel, f.id, lf, budget, win, resumed, f.str)
-				continue
+				lf, resumed, err = ls.OpenLiveSince(sctx, f.ver)
+			} else {
+				lf, err = ls.OpenLive(sctx)
 			}
-			ls, ok := src.(LiveSource)
-			if !ok {
-				s.releaseStream(f.str)
-				s.send(frame{typ: frameStreamErr, id: f.id, str: "docking point is not live: " + f.str})
-				continue
-			}
-			sctx, scancel := context.WithCancel(ctx)
-			lf, err = ls.OpenLive(sctx)
 			if err != nil {
 				scancel()
-				s.releaseStream(f.str)
-				s.send(frame{typ: frameStreamErr, id: f.id, str: err.Error()})
+				s.releaseSlot(st)
+				s.streamErr(f.id, err)
 				continue
 			}
-			s.startLive(sctx, scancel, f.id, lf, budget, win, false, f.str)
+			if f.typ == frameResume && s.gate != nil {
+				s.gate.Resumed(f.str)
+			}
+			s.mu.Lock()
+			s.streams[f.id] = st
+			s.lives[f.id] = lf
+			s.mu.Unlock()
+			s.wg.Add(1)
+			go s.serveLive(sctx, f.id, st, lf, budget, win, resumed)
 
 		case frameAck:
 			s.mu.Lock()
@@ -554,6 +551,7 @@ func (h *Host) serveSession(c net.Conn) {
 			s.mu.Unlock()
 			if st != nil {
 				st.cancel() // halt the sender mid-serialization
+				s.releaseSlot(st)
 			}
 
 		default:
@@ -577,12 +575,25 @@ func (s *session) admitStream(fn string) error {
 	return s.gate.OpenStream(fn)
 }
 
-// releaseStream undoes an admitStream whose stream never started (or
-// just ended).
-func (s *session) releaseStream(fn string) {
-	if s.gate != nil {
-		s.gate.CloseStream(fn)
+// releaseSlot gives an admitted stream's slot back to the gate, once
+// per stream however many of its endings race (a reject read, the End
+// about to be written, the sender's exit).
+func (s *session) releaseSlot(st *hostStream) {
+	if s.gate != nil && st.released.CompareAndSwap(false, true) {
+		s.gate.CloseStream(st.fn)
 	}
+}
+
+// streamErr fails one stream with err's message; a *RefusedError keeps
+// its refuse code on the wire, so the client can rebuild the typed
+// refusal.
+func (s *session) streamErr(id uint32, err error) {
+	f := frame{typ: frameStreamErr, id: id, str: err.Error()}
+	var ref *RefusedError
+	if errors.As(err, &ref) {
+		f.flag, f.str = byte(ref.Code), ref.Reason
+	}
+	s.send(f)
 }
 
 // serveStream runs one fragment transfer: announce the size and the
@@ -592,10 +603,11 @@ func (s *session) releaseStream(fn string) {
 // A reject (or a dead session) cancels sctx: a parked sender wakes at
 // once, and a sender with credit left notices before its next chunk,
 // so at most one window past the failure point is ever serialized.
-func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, src Source, budget, win int, fn string) {
+func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, src Source, budget, win int) {
 	defer s.wg.Done()
 	defer st.cancel()
-	defer s.releaseStream(fn)
+	defer s.releaseSlot(st)
+	fn := st.fn
 	openStart := spanClock(s.obs)
 	size := src.Size()
 	if err := s.send(frame{typ: frameBegin, id: id, size: uint64(size), win: uint32(win)}); err != nil {
@@ -621,13 +633,15 @@ func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, s
 		if s.gate != nil {
 			s.gate.FragmentDelivered(fn)
 		}
+		s.releaseSlot(st)
 		s.send(frame{typ: frameEnd, id: id})
 	case sctx.Err() != nil:
 		// Rejected or torn down: the receiver is not listening.
 		span.Err = "rejected"
 	default:
 		span.Err = err.Error()
-		s.send(frame{typ: frameStreamErr, id: id, str: err.Error()})
+		s.releaseSlot(st)
+		s.streamErr(id, err)
 	}
 	span.End = spanClock(s.obs)
 	s.obs.Span(span)
@@ -709,18 +723,6 @@ func (s *session) sendChunk(id uint32, chunk []byte) error {
 	return nil
 }
 
-// startLive registers a subscription's stream bookkeeping and launches
-// its sender goroutine.
-func (s *session) startLive(sctx context.Context, scancel context.CancelFunc, id uint32, lf LiveFeedSrc, budget, win int, resumed bool, fn string) {
-	st := newHostStream(scancel)
-	s.mu.Lock()
-	s.streams[id] = st
-	s.lives[id] = lf
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.serveLive(sctx, id, st, lf, budget, win, resumed, fn)
-}
-
 // serveLive runs one subscription: announce the snapshot cut, ship the
 // snapshot in credit-windowed chunk frames (like any fragment), mark
 // its end, then forward edits as they are published — each edit waits
@@ -731,10 +733,10 @@ func (s *session) startLive(sctx context.Context, scancel context.CancelFunc, id
 // subscription's snapshot is empty (the subscriber kept its replica),
 // so the phase structure is unchanged: subscribed, zero chunks, end,
 // edits from the announced version on.
-func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf LiveFeedSrc, budget, win int, resumed bool, fn string) {
+func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf LiveFeedSrc, budget, win int, resumed bool) {
 	defer s.wg.Done()
 	defer st.cancel()
-	defer s.releaseStream(fn)
+	defer s.releaseSlot(st)
 	defer func() {
 		s.mu.Lock()
 		delete(s.streams, id)
@@ -757,7 +759,8 @@ func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf 
 	cw.release()
 	if err != nil {
 		if sctx.Err() == nil {
-			s.send(frame{typ: frameStreamErr, id: id, str: err.Error()})
+			s.releaseSlot(st)
+			s.streamErr(id, err)
 		}
 		return
 	}
@@ -769,7 +772,8 @@ func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf 
 		e, err := lf.NextEdit(sctx, pos)
 		if err != nil {
 			if sctx.Err() == nil {
-				s.send(frame{typ: frameStreamErr, id: id, str: err.Error()})
+				s.releaseSlot(st)
+				s.streamErr(id, err)
 			}
 			return
 		}

@@ -10,14 +10,17 @@ import (
 	"dxml/internal/obs"
 )
 
-// InProc is the in-process transport: the kernel peer and the resource
-// peers share an address space, and chunks are handed over channels
+// InProc is the in-process wire for one-shot rounds only: verdict
+// requests and fragment transfers between a kernel peer and resource
+// peers that share an address space. Chunks are handed over channels
 // buffered to the credit window — a sender runs at most Window chunks
 // ahead of its receiver, so the backpressure and rejection semantics
-// are exactly those of the TCP transport without the sockets (a window
-// of 1 is the unbuffered stop-and-wait handoff). This is the
-// refactored form of the original p2p wire and the reference
-// implementation the TCP transport is differentially tested against.
+// are those of the TCP transport without the codec (a window of 1 is
+// the unbuffered stop-and-wait handoff). Live subscriptions, routing
+// and admission are not served here: run them over a Pipe, which is
+// the TCP host's own serving loop on an in-memory connection. The
+// one-shot round stays on InProc because copying every chunk through
+// the codec costs it more than its allocation budget allows.
 type InProc struct {
 	// Sources maps each docking point to its hosted peer.
 	Sources map[string]Source

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the live half of the wire: a kernel peer *subscribes* to
-// a docking point's edit log and receives, over either transport, an
-// atomic cut of the peer's state — a keyed snapshot of the fragment at
+// a docking point's edit log and receives, over a Conn (TCP or Pipe),
+// an atomic cut of the peer's state — a keyed snapshot of the fragment at
 // some version (credit-windowed like any fragment transfer), then every
 // edit after that version, in order, with stop-and-wait backpressure —
 // and reports its global verdict back after each applied edit. The
@@ -37,13 +37,19 @@ func (e EditFrame) WireSize() int {
 }
 
 // LiveSource is a Source whose document is editable: it can open an
-// atomic cut of its state for a subscriber. Hosted docking points
-// implement it to become subscribable.
+// atomic cut of its state for a subscriber, and continue an earlier
+// subscriber's feed by log suffix. Hosted docking points implement it
+// to become subscribable.
 type LiveSource interface {
 	Source
 	// OpenLive returns an atomic cut: a snapshot and the edit feed
 	// continuing it. The context bounds the feed's lifetime.
 	OpenLive(ctx context.Context) (LiveFeedSrc, error)
+	// OpenLiveSince returns a feed continuing from `after`. If the log
+	// still covers the suffix, the feed's Version() is `after`, its
+	// Size() is 0 (no snapshot), and resumed is true. Otherwise it is a
+	// fresh full cut (resumed false).
+	OpenLiveSince(ctx context.Context, after uint64) (feed LiveFeedSrc, resumed bool, err error)
 }
 
 // LiveFeedSrc is the sender side of one subscription: a consistent
@@ -66,37 +72,19 @@ type LiveFeedSrc interface {
 	Close()
 }
 
-// LiveSession is a Session that supports live subscriptions. Both
-// transports implement it; a kernel peer type-asserts.
+// LiveSession is a Session that supports live subscriptions whose
+// feeds survive a disconnect. Conn and Multi implement it; a kernel
+// peer type-asserts.
 type LiveSession interface {
 	Session
 	Subscribe(ctx context.Context, fn string) (EditFeed, error)
-}
-
-// ResumableSession is a LiveSession whose subscriptions survive a
-// disconnect: Resubscribe reopens fn's feed from the last edit version
-// this peer applied. Both transports implement it.
-type ResumableSession interface {
-	LiveSession
-	// Resubscribe reopens a subscription. When the source's log still
-	// covers every edit after `after`, the returned feed is Resumed():
-	// it ships no snapshot (SnapshotSize 0, NextChunk immediately EOF)
-	// and its first edit carries after+1. When the log was compacted
-	// past `after`, the feed is a fresh full cut, exactly like
-	// Subscribe.
+	// Resubscribe reopens a subscription from the last edit version
+	// this peer applied. When the source's log still covers every edit
+	// after `after`, the returned feed is Resumed(): it ships no
+	// snapshot (SnapshotSize 0, NextChunk immediately EOF) and its
+	// first edit carries after+1. When the log was compacted past
+	// `after`, the feed is a fresh full cut, exactly like Subscribe.
 	Resubscribe(ctx context.Context, fn string, after uint64) (EditFeed, error)
-}
-
-// ResumableSource is a LiveSource whose edit log supports suffix
-// resumption. Hosted docking points implement it to let dropped
-// subscribers catch up without re-shipping the snapshot.
-type ResumableSource interface {
-	LiveSource
-	// OpenLiveSince returns a feed continuing from `after`. If the log
-	// still covers the suffix, the feed's Version() is `after`, its
-	// Size() is 0 (no snapshot), and resumed is true. Otherwise it is a
-	// fresh full cut (resumed false).
-	OpenLiveSince(ctx context.Context, after uint64) (feed LiveFeedSrc, resumed bool, err error)
 }
 
 // EditFeed is the receiver side of one subscription. The protocol has
@@ -131,8 +119,8 @@ type EditFeed interface {
 	Close() error
 }
 
-// Subscribe routes a live subscription to fn's session.
-func (m Multi) Subscribe(ctx context.Context, fn string) (EditFeed, error) {
+// live resolves fn's session as a live one.
+func (m Multi) live(fn string) (LiveSession, error) {
 	s, err := m.session(fn)
 	if err != nil {
 		return nil, err
@@ -141,123 +129,23 @@ func (m Multi) Subscribe(ctx context.Context, fn string) (EditFeed, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: session for %s does not support live subscriptions", fn)
 	}
+	return ls, nil
+}
+
+// Subscribe routes a live subscription to fn's session.
+func (m Multi) Subscribe(ctx context.Context, fn string) (EditFeed, error) {
+	ls, err := m.live(fn)
+	if err != nil {
+		return nil, err
+	}
 	return ls.Subscribe(ctx, fn)
 }
 
 // Resubscribe routes a resumed subscription to fn's session.
 func (m Multi) Resubscribe(ctx context.Context, fn string, after uint64) (EditFeed, error) {
-	s, err := m.session(fn)
+	ls, err := m.live(fn)
 	if err != nil {
 		return nil, err
 	}
-	rs, ok := s.(ResumableSession)
-	if !ok {
-		return nil, fmt.Errorf("transport: session for %s does not support resumed subscriptions", fn)
-	}
-	return rs.Resubscribe(ctx, fn, after)
-}
-
-// Subscribe opens an in-process subscription: the snapshot is chunked
-// through the same budget and credit window as fragment transfers, and
-// edits are pulled straight from the source's log.
-func (s *InProc) Subscribe(ctx context.Context, fn string) (EditFeed, error) {
-	src, err := s.source(fn)
-	if err != nil {
-		return nil, err
-	}
-	ls, ok := src.(LiveSource)
-	if !ok {
-		return nil, fmt.Errorf("transport: docking point %s is not live (no editor attached)", fn)
-	}
-	lf, err := ls.OpenLive(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return s.feedOver(ctx, lf, false), nil
-}
-
-// Resubscribe reopens a subscription from the last applied version,
-// exactly mirroring the TCP resume handshake: a suffix replay when the
-// source's log still covers it, a fresh full cut otherwise.
-func (s *InProc) Resubscribe(ctx context.Context, fn string, after uint64) (EditFeed, error) {
-	src, err := s.source(fn)
-	if err != nil {
-		return nil, err
-	}
-	rs, ok := src.(ResumableSource)
-	if !ok {
-		return nil, fmt.Errorf("transport: docking point %s does not support resumed subscriptions", fn)
-	}
-	lf, resumed, err := rs.OpenLiveSince(ctx, after)
-	if err != nil {
-		return nil, err
-	}
-	return s.feedOver(ctx, lf, resumed), nil
-}
-
-// feedOver wraps a source feed in the in-process chunk handoff, with
-// the same credit window as fragment transfers (channel buffered to
-// window-1, ring of window+1 chunk buffers). Resumed feeds have an
-// empty snapshot, so their chunk channel closes at once.
-func (s *InProc) feedOver(ctx context.Context, lf LiveFeedSrc, resumed bool) EditFeed {
-	win := s.window()
-	fctx, cancel := context.WithCancel(ctx)
-	ch := make(chan []byte, win-1)
-	go func() {
-		defer close(ch)
-		w := newChunkerDepth(s.Chunk, win+1, func(chunk []byte) error {
-			select {
-			case ch <- chunk:
-				return nil
-			case <-fctx.Done():
-				return fctx.Err()
-			}
-		})
-		if lf.Serialize(w) == nil {
-			w.flush()
-		}
-	}()
-	return &inprocEditFeed{lf: lf, cancel: cancel, ch: ch, base: lf.Version(), size: lf.Size(), pos: lf.Version(), resumed: resumed}
-}
-
-type inprocEditFeed struct {
-	lf      LiveFeedSrc
-	cancel  context.CancelFunc
-	ch      <-chan []byte
-	base    uint64
-	size    int
-	pos     uint64
-	resumed bool
-}
-
-func (f *inprocEditFeed) Base() uint64      { return f.base }
-func (f *inprocEditFeed) SnapshotSize() int { return f.size }
-func (f *inprocEditFeed) Resumed() bool     { return f.resumed }
-
-func (f *inprocEditFeed) NextChunk() ([]byte, error) {
-	chunk, ok := <-f.ch
-	if !ok {
-		return nil, io.EOF
-	}
-	return chunk, nil
-}
-
-func (f *inprocEditFeed) NextEdit(ctx context.Context) (EditFrame, error) {
-	e, err := f.lf.NextEdit(ctx, f.pos)
-	if err != nil {
-		return EditFrame{}, err
-	}
-	f.pos = e.Version
-	return e, nil
-}
-
-func (f *inprocEditFeed) SendVerdict(version uint64, valid bool) error {
-	f.lf.NoteVerdict(version, valid)
-	return nil
-}
-
-func (f *inprocEditFeed) Close() error {
-	f.cancel()
-	f.lf.Close()
-	return nil
+	return ls.Resubscribe(ctx, fn, after)
 }

@@ -54,7 +54,7 @@ func (s *fakeLiveSource) OpenLive(ctx context.Context) (LiveFeedSrc, error) {
 	return &fakeLiveFeed{src: s, base: s.version, size: len(s.blob)}, nil
 }
 
-// OpenLiveSince implements ResumableSource: the fake's log always
+// OpenLiveSince completes LiveSource: the fake's log always
 // starts at its fixed base version, so a resume is possible iff `after`
 // is not before it (and not ahead of what was published).
 func (s *fakeLiveSource) OpenLiveSince(ctx context.Context, after uint64) (LiveFeedSrc, bool, error) {
@@ -131,8 +131,8 @@ func (f *fakeLiveFeed) Close() {
 	}
 }
 
-// TestSubscribeConformance drives a live subscription over both
-// transports: the snapshot arrives chunked and intact, edits arrive in
+// TestSubscribeConformance drives a live subscription over a pipe and
+// over TCP: the snapshot arrives chunked and intact, edits arrive in
 // order with their addresses and payloads, verdict updates reach the
 // source, and unsubscribing releases it.
 func TestSubscribeConformance(t *testing.T) {
@@ -212,11 +212,10 @@ func TestSubscribeConformance(t *testing.T) {
 			t.Fatal("unsubscribe never released the source feed")
 		}
 	}
-	// Fresh source per transport (eachTransport builds both from the
-	// same map, so swap the shared pointer per subtest).
+	// Fresh source per transport (swap the shared pointer per subtest).
 	t.Run("inproc", func(t *testing.T) {
 		currentLiveSource = newFakeLive(snapshot, 7)
-		run(t, &InProc{Sources: map[string]Source{"f1": currentLiveSource}, Chunk: 64})
+		eachPipe(t, map[string]Source{"f1": currentLiveSource}, 64, run)
 	})
 	t.Run("tcp", func(t *testing.T) {
 		currentLiveSource = newFakeLive(snapshot, 7)
@@ -225,6 +224,18 @@ func TestSubscribeConformance(t *testing.T) {
 }
 
 var currentLiveSource *fakeLiveSource
+
+// eachPipe runs run against an in-process Pipe session.
+func eachPipe(t *testing.T, sources map[string]Source, chunk int, run func(t *testing.T, s Session)) {
+	t.Helper()
+	digest := Digest("live-conformance")
+	c, err := Pipe(HostConfig{Digest: digest, Sources: sources}, Config{Digest: digest, Chunk: chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	run(t, c)
+}
 
 // eachTCP dials a one-host TCP session around run.
 func eachTCP(t *testing.T, sources map[string]Source, chunk int, run func(t *testing.T, s Session)) {
@@ -245,10 +256,10 @@ func eachTCP(t *testing.T, sources map[string]Source, chunk int, run func(t *tes
 }
 
 // TestSubscribeNotLive: subscribing to a docking point without an
-// editor fails cleanly on both transports.
+// editor fails cleanly over a pipe and over TCP.
 func TestSubscribeNotLive(t *testing.T) {
 	sources := map[string]Source{"f1": &fakeSource{blob: blob(10), verdict: true}}
-	eachTransport(t, sources, 16, func(t *testing.T, s Session) {
+	run := func(t *testing.T, s Session) {
 		ls := s.(LiveSession)
 		if _, err := ls.Subscribe(context.Background(), "f1"); err == nil || !strings.Contains(err.Error(), "not live") {
 			t.Fatalf("expected a not-live error, got %v", err)
@@ -256,5 +267,7 @@ func TestSubscribeNotLive(t *testing.T) {
 		if _, err := ls.Subscribe(context.Background(), "f9"); err == nil {
 			t.Fatal("expected an unknown docking point error")
 		}
-	})
+	}
+	t.Run("inproc", func(t *testing.T) { eachPipe(t, sources, 16, run) })
+	t.Run("tcp", func(t *testing.T) { eachTCP(t, sources, 16, run) })
 }

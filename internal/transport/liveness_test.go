@@ -86,8 +86,8 @@ func TestHostDropsUnheardPeer(t *testing.T) {
 	}
 }
 
-// TestResumeConformance drives the resume handshake over both
-// transports: a Resubscribe inside the log window is a suffix resume
+// TestResumeConformance drives the resume handshake over a pipe and
+// over TCP: a Resubscribe inside the log window is a suffix resume
 // (no snapshot, Resumed true, first edit after+1), and one before the
 // window falls back to a fresh full cut.
 func TestResumeConformance(t *testing.T) {
@@ -98,9 +98,9 @@ func TestResumeConformance(t *testing.T) {
 		{Version: 10, Op: 2, Addr: []uint64{7}, Doc: []byte("<b>\n  <c/>\n</b>\n")},
 	}
 	run := func(t *testing.T, s Session) {
-		rs, ok := s.(ResumableSession)
+		rs, ok := s.(LiveSession)
 		if !ok {
-			t.Fatalf("%T does not implement ResumableSession", s)
+			t.Fatalf("%T does not implement LiveSession", s)
 		}
 		src := currentLiveSource
 		for _, e := range edits {
@@ -166,7 +166,7 @@ func TestResumeConformance(t *testing.T) {
 	}
 	t.Run("inproc", func(t *testing.T) {
 		currentLiveSource = newFakeLive(snapshot, 7)
-		run(t, &InProc{Sources: map[string]Source{"f1": currentLiveSource}, Chunk: 64})
+		eachPipe(t, map[string]Source{"f1": currentLiveSource}, 64, run)
 	})
 	t.Run("tcp", func(t *testing.T) {
 		currentLiveSource = newFakeLive(snapshot, 7)

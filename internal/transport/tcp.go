@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -36,7 +37,8 @@ func resolveLiveness(d, def time.Duration) time.Duration {
 	return d
 }
 
-// Config parameterizes a TCP session from the kernel peer's side.
+// Config parameterizes a session (Dial or Pipe) from the kernel peer's
+// side.
 type Config struct {
 	// Digest is the design fingerprint exchanged in the hello; the
 	// server refuses a mismatch. See Digest.
@@ -74,9 +76,10 @@ type Config struct {
 	Tap Tap
 }
 
-// Conn is an established TCP session with one peer host, from the
-// kernel peer's side. It multiplexes concurrent verdict requests and
-// fragment streams over a single socket; methods are safe for
+// Conn is an established session with one peer host, over TCP (Dial)
+// or an in-memory pipe (Pipe), from the kernel peer's side. It
+// multiplexes concurrent verdict requests, fragment streams and live
+// subscriptions over a single connection; methods are safe for
 // concurrent use.
 type Conn struct {
 	c   net.Conn
@@ -100,6 +103,8 @@ type Conn struct {
 
 	done    chan struct{} // closed when the read loop exits
 	doneErr error         // why (valid after done)
+
+	served <-chan struct{} // Pipe only: closed when the host side has finished
 }
 
 // dispatch is one frame handed from the read loop to a waiter. Chunk
@@ -121,18 +126,59 @@ type waiter struct {
 // Dial connects to a peer host, performs the hello exchange, and
 // returns the session. The configured digest must match the host's.
 func Dial(addr string, cfg Config) (*Conn, error) {
-	win := cfg.Window
-	if win == 0 {
-		win = DefaultWindow
+	win, err := grantWindow(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if win < 0 {
-		return nil, fmt.Errorf("transport: dial: %w", ErrInvalidWindow)
-	}
-	win = clampWindow(win, 0)
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	return dialConn(nc, cfg, win)
+}
+
+// Pipe serves hcfg's sources on one end of an in-memory connection and
+// dials the other end with cfg: a session that runs the TCP host's
+// serving loop and the TCP client's hello without a socket, so routing,
+// admission, refusals, credit windows, resume, deadlines, taps and obs
+// are those of the TCP wire. Close returns only after the host side has
+// finished, with the session's route released.
+func Pipe(hcfg HostConfig, cfg Config) (*Conn, error) {
+	win, err := grantWindow(cfg)
+	if err != nil {
+		return nil, err
+	}
+	hc, cc := net.Pipe()
+	h := &Host{cfg: hcfg, ctx: context.Background()}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.serveSession(hc)
+	}()
+	c, err := dialConn(cc, cfg, win)
+	if err != nil {
+		<-served
+		return nil, err
+	}
+	c.served = served
+	return c, nil
+}
+
+// grantWindow resolves the credit window a session grants in its hello.
+func grantWindow(cfg Config) (int, error) {
+	if cfg.Window < 0 {
+		return 0, fmt.Errorf("transport: dial: %w", ErrInvalidWindow)
+	}
+	if cfg.Window == 0 {
+		return DefaultWindow, nil
+	}
+	return clampWindow(cfg.Window, 0), nil
+}
+
+// dialConn runs the client half of the hello exchange on an established
+// connection and starts the session's read loop. It closes nc on every
+// error return.
+func dialConn(nc net.Conn, cfg Config, win int) (*Conn, error) {
 	c := &Conn{
 		c:         nc,
 		fw:        frameWriter{w: nc},
@@ -432,7 +478,7 @@ func (c *Conn) Open(ctx context.Context, fn string) (Fragment, error) {
 			return &tcpFragment{conn: c, id: id, w: w, fn: fn, size: int(f.size), opened: spanClock(c.obs)}, nil
 		case frameStreamErr:
 			c.unregister(id)
-			return nil, fmt.Errorf("transport: open %s: %s", fn, f.str)
+			return nil, fmt.Errorf("transport: open %s: %w", fn, streamError(f))
 		default:
 			c.unregister(id)
 			return nil, fmt.Errorf("transport: unexpected frame type %d opening %s", f.typ, fn)
@@ -486,7 +532,7 @@ func (c *Conn) subscribe(ctx context.Context, fn string, after uint64, typ frame
 			return &tcpEditFeed{conn: c, id: id, w: w, base: f.ver, size: int(f.size), resumed: f.flag != 0}, nil
 		case frameStreamErr:
 			c.unregister(id)
-			return nil, fmt.Errorf("transport: subscribe %s: %s", fn, f.str)
+			return nil, fmt.Errorf("transport: subscribe %s: %w", fn, streamError(f))
 		default:
 			c.unregister(id)
 			return nil, fmt.Errorf("transport: unexpected frame type %d subscribing to %s", f.typ, fn)
@@ -499,6 +545,16 @@ func (c *Conn) subscribe(ctx context.Context, fn string, after uint64, typ frame
 		c.unregister(id)
 		return nil, c.sessionErr()
 	}
+}
+
+// streamError rebuilds a stream-error frame's cause: a typed
+// *RefusedError when the host refused the stream under admission
+// control, the host's message otherwise.
+func streamError(f frame) error {
+	if f.flag != 0 {
+		return &RefusedError{Code: RefuseCode(f.flag), Reason: f.str}
+	}
+	return errors.New(f.str)
 }
 
 // tcpEditFeed is the receiver side of one TCP subscription: snapshot
@@ -622,10 +678,15 @@ func (f *tcpEditFeed) Close() error {
 	return f.conn.send(frame{typ: frameReject, id: f.id, str: "unsubscribed"})
 }
 
-// Close tears the session down; in-flight operations fail.
+// Close tears the session down; in-flight operations fail. On a Pipe
+// it also waits for the host side, so the session's route has been
+// released when Close returns.
 func (c *Conn) Close() error {
 	err := c.c.Close()
 	<-c.done // wait for the read loop so no dispatch races the caller
+	if c.served != nil {
+		<-c.served
+	}
 	return err
 }
 

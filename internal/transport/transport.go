@@ -1,8 +1,12 @@
 // Package transport is the wire layer of the p2p federation: it moves
-// verdicts and chunked fragment streams between the kernel peer and the
-// resource peers, behind one small interface with two implementations —
-// an in-process loopback (the original channel-based delivery) and a
-// real TCP transport speaking a length-prefixed binary frame protocol.
+// verdicts, chunked fragment streams and live edit feeds between the
+// kernel peer and the resource peers. The protocol is written once, as
+// the length-prefixed binary frames a Host serves and a Conn speaks;
+// Dial runs it over TCP and Pipe over an in-memory connection, so an
+// in-process session gets the TCP host's routing, admission, refusals,
+// deadlines and accounting by construction. InProc is the one
+// exception: a channel handoff for one-shot rounds (verdicts and
+// fragment transfers), kept because it is cheaper than the codec.
 //
 // The abstraction is asymmetric, matching the paper's model: resource
 // peers are passive *sources* (they answer verdict requests and stream
@@ -11,17 +15,17 @@
 // grants a window of N chunk credits at session open (negotiated in the
 // hello and echoed per stream in the begin frame), the sender
 // serializes into fixed-budget chunks and pipelines up to N of them
-// unacked (vectored writes over TCP, a window-buffered channel in
-// process), and cumulative acks replenish credits as chunks are
+// unacked (vectored writes on the wire, a window-buffered channel in
+// InProc), and cumulative acks replenish credits as chunks are
 // consumed. A window of 1 is exactly the classic stop-and-wait wire. A
 // rejection reaches the sender while at most one window of chunks is in
 // flight, so all bytes past sent+window are never serialized — the
 // communication win recorded in the federation's Stats.BytesSaved is
-// real on both transports, diminished by at most window·chunk bytes of
+// real on every wire, diminished by at most window·chunk bytes of
 // in-flight credit.
 //
-// Protocol guarantees shared by both implementations, pinned by the
-// differential tests in internal/p2p:
+// Protocol guarantees, pinned by the differential tests in
+// internal/p2p:
 //
 //   - chunk boundaries depend only on the configured budget, so frame
 //     counts and delivered-byte totals are transport- and
@@ -31,8 +35,10 @@
 //     shipped;
 //   - a duplicated or stale ack never grants credit twice: acks carry a
 //     cumulative consumed-chunk count, so replaying one is a no-op;
-//   - a session is bound to a design digest: the TCP hello refuses to
-//     pair peers running different designs.
+//   - a session is bound to a design digest: the hello refuses to pair
+//     peers running different designs;
+//   - a refusal is typed: a hello or a stream refused by admission
+//     control unwraps to ErrUnknownDesign or ErrOverCapacity.
 package transport
 
 import (
