@@ -161,7 +161,8 @@ type (
 	// transfer (Next/Abort with synchronous backpressure).
 	TransportFragment = transport.Fragment
 	// TransportSource is the sender side of one hosted docking point:
-	// verdicts and incremental serialization (see Network.HostSources).
+	// verdicts and the document's serialization, shipped in chunks (see
+	// Network.HostSources).
 	TransportSource = transport.Source
 	// PeerHost serves resource peers over TCP (see Network.ServeTCP).
 	PeerHost = transport.Host

@@ -54,6 +54,14 @@ func (ed *Editor) Tree() *xmltree.Tree {
 	return ed.doc.Tree()
 }
 
+// VersionedTree returns a snapshot of the current document and its
+// version, atomically: the tree is exactly that version's document.
+func (ed *Editor) VersionedTree() (*xmltree.Tree, uint64) {
+	ed.mu.Lock()
+	defer ed.mu.Unlock()
+	return ed.doc.Tree(), ed.doc.version
+}
+
 // EncodeSnapshot returns the keyed snapshot of the current document
 // and its version, atomically — the cut a live subscription starts
 // from: every edit with a greater version applies cleanly on top.

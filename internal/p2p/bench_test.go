@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dxml/internal/xmltree"
 )
 
 // BenchmarkCentralizedChunkSweep runs centralized validation of a
@@ -278,5 +280,32 @@ func BenchmarkCentralizedRejection(b *testing.B) {
 			b.ReportMetric(float64(t.Bytes)/float64(b.N), "wire-bytes/op")
 			b.ReportMetric(float64(t.BytesSaved)/float64(b.N), "saved-bytes/op")
 		})
+	}
+}
+
+// BenchmarkCentralizedFreshDocs is the centralized round when every
+// document changes between rounds: each round assigns every peer the
+// other of two pre-built clones of its document, so no transfer finds
+// its version's bytes already serialized and each pays the full build.
+// It is the workload the peers' serialization cache cannot help.
+func BenchmarkCentralizedFreshDocs(b *testing.B) {
+	n, typing := eurostatSetup(b)
+	attachValidDocs(b, n, typing, []int{5000, 5000, 5000})
+	funcs := n.Kernel.Funcs()
+	clones := make([][2]*xmltree.Tree, len(funcs))
+	for i, fn := range funcs {
+		doc := n.Peers[fn].Doc
+		clones[i] = [2]*xmltree.Tree{doc.Clone(), doc.Clone()}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, fn := range funcs {
+			n.Peers[fn].Doc = clones[k][i%2]
+		}
+		ok, err := n.ValidateCentralized()
+		if err != nil || !ok {
+			b.Fatalf("ok=%v err=%v", ok, err)
+		}
 	}
 }

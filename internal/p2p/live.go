@@ -33,10 +33,11 @@ import (
 
 // AttachEditor wraps fn's current document in a live editor and makes
 // the docking point subscribable. The editor becomes authoritative for
-// the peer's document (the one-shot protocols read its current tree;
-// an edit landing between a transfer's size announcement and its
-// serialization can skew one-shot accounting, which is why live
-// consumers should use OpenLive's atomic snapshot-plus-log cut).
+// the peer's document (the one-shot protocols ship the serialization of
+// its current version; an edit landing between a transfer's size
+// announcement and its serialization can skew one-shot accounting,
+// which is why live consumers should use OpenLive's atomic
+// snapshot-plus-log cut).
 func (n *Network) AttachEditor(fn string) (*live.Editor, error) {
 	peer, ok := n.Peers[fn]
 	if !ok {

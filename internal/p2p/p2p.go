@@ -34,9 +34,14 @@
 //     stops pulling frames the moment its validator fails, a reject
 //     frame halts the sender, and the bytes never shipped are recorded
 //     in Stats.BytesSaved;
-//   - backpressure is synchronous: senders serialize incrementally and
-//     never run more than one chunk ahead of the kernel peer, so a slow
-//     consumer bounds every producer's memory too.
+//   - backpressure is credit-windowed: a sender ships chunks cut from
+//     its document's serialized bytes and never runs more than one
+//     credit window ahead of the kernel peer, so a slow consumer bounds
+//     every transfer's in-flight memory too. Each resource peer builds
+//     those bytes once per document version, in full, on the first
+//     transfer that needs them, and every later transfer of that
+//     version copies them: a rejection saves the wire bytes past the
+//     failure point, not that one build.
 //
 // Message and byte counts are recorded so the example programs and
 // benchmarks can report the communication advantage of local typings
@@ -49,6 +54,7 @@
 package p2p
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -206,7 +212,10 @@ func (m message) wireSize() int { return len(m.from) + 1 }
 // ResourcePeer owns one docking point's document and local type. The
 // streaming machine for the type is compiled lazily once and shared by
 // every validation; replace the peer (AddPeer) rather than mutating Type
-// in place.
+// in place. The document's XML bytes are likewise built once per
+// version and shipped by every transfer of that version, so once a Doc
+// has been shipped, replace it by assigning a new tree (as UpdatePeer
+// does) rather than mutating it in place.
 type ResourcePeer struct {
 	Func string
 	Doc  *xmltree.Tree
@@ -221,6 +230,63 @@ type ResourcePeer struct {
 
 	compileOnce sync.Once
 	machine     *stream.Machine
+
+	mu  sync.Mutex // guards xml
+	xml docXML
+}
+
+// docXML is a peer's one-entry serialization cache: the XML bytes of
+// one version of a document. They are never written once built, so
+// transfers ship them after the peer's lock is released.
+type docXML struct {
+	key   docVersion
+	bytes []byte
+}
+
+// docVersion names one version of a peer's document: a static tree by
+// its pointer, a live document by its editor and edit version.
+type docVersion struct {
+	doc *xmltree.Tree
+	ed  *live.Editor
+	ver uint64
+}
+
+// currentXML returns the serialization of the peer's current document.
+func (p *ResourcePeer) currentXML() []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ed := p.Live
+	if ed == nil {
+		return p.xmlLocked(docVersion{doc: p.Doc}, p.Doc)
+	}
+	if p.xml.key == (docVersion{ed: ed, ver: ed.Version()}) {
+		return p.xml.bytes
+	}
+	t, ver := ed.VersionedTree()
+	return p.xmlLocked(docVersion{ed: ed, ver: ver}, t)
+}
+
+// pinnedXML returns the serialization of a tree standing in for the
+// peer's document (a proposed edit), cached as the peer's own are: an
+// admitted proposal becomes Doc and ships from the same bytes.
+func (p *ResourcePeer) pinnedXML(t *xmltree.Tree) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.xmlLocked(docVersion{doc: t}, t)
+}
+
+// xmlLocked returns the cached bytes when they are key's, and otherwise
+// serializes t, key's document, in full into a fresh entry. Called
+// under p.mu.
+func (p *ResourcePeer) xmlLocked(key docVersion, t *xmltree.Tree) []byte {
+	if p.xml.key == key {
+		return p.xml.bytes
+	}
+	var b bytes.Buffer
+	b.Grow(len(p.xml.bytes)) // a new version is usually about the old one's size
+	t.ToXML(&b)              // cannot fail on a Buffer
+	p.xml = docXML{key: key, bytes: b.Bytes()}
+	return p.xml.bytes
 }
 
 // CurrentDoc returns the peer's current document: the live editor's
@@ -279,10 +345,11 @@ func (c *ctxHandler) Text() error { c.n++; return c.h.Text() }
 func (c *ctxHandler) EndElement() error { c.n++; return c.h.EndElement() }
 
 // peerSource adapts a ResourcePeer to the transport's sender surface:
-// verdicts from its machine, incremental serialization from the
-// allocation-free XML emitter. A nil doc reads the peer's current
-// document at call time (so a host serves edits without re-wiring);
-// a non-nil doc pins an override (the collaborative-edit protocols).
+// verdicts from its machine, sizes and serializations from the peer's
+// cached XML bytes of the document version. A nil doc reads the peer's
+// current document at call time (so a host serves edits without
+// re-wiring); a non-nil doc pins an override (the collaborative-edit
+// protocols).
 type peerSource struct {
 	peer *ResourcePeer
 	doc  *xmltree.Tree
@@ -311,9 +378,20 @@ func (s *peerSource) Verdict(ctx context.Context) bool {
 	return err == nil
 }
 
-func (s *peerSource) Size() int { return s.document().XMLSize() }
+// xml returns the serialization of the source's document.
+func (s *peerSource) xml() []byte {
+	if s.doc != nil {
+		return s.peer.pinnedXML(s.doc)
+	}
+	return s.peer.currentXML()
+}
 
-func (s *peerSource) Serialize(w io.Writer) error { return s.document().ToXML(w) }
+func (s *peerSource) Size() int { return len(s.xml()) }
+
+func (s *peerSource) Serialize(w io.Writer) error {
+	_, err := w.Write(s.xml())
+	return err
+}
 
 // Network is a federation: one kernel peer plus one resource peer per
 // docking point. By default the peers live in process and the wire is
@@ -562,9 +640,11 @@ func (n *Network) HostSources() map[string]transport.Source {
 // ResidentEstimate approximates the bytes a host pins by keeping this
 // network's serving state resident: the kernel document plus every
 // peer's current document, in the flat XML byte measure used
-// throughout. Compiled validators and tree overhead are not counted —
-// the estimate is a budget token for admission control, not an
-// allocator measurement.
+// throughout. Compiled validators, tree overhead and each peer's cached
+// XML bytes are not counted — the estimate is a budget token for
+// admission control, not an allocator measurement, and leaving the
+// cache out keeps admission decisions where they were before peers
+// cached their bytes.
 func (n *Network) ResidentEstimate() int64 {
 	total := int64(n.Kernel.Tree().XMLSize())
 	for _, p := range n.Peers {

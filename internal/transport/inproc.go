@@ -133,9 +133,8 @@ func (s *InProc) Open(ctx context.Context, fn string) (Fragment, error) {
 	id := s.nextID.Add(1)
 	s.tapFrame(TapOut, frame{typ: frameOpen, id: id, str: fn})
 	if s.Tap != nil {
-		// The begin frame announces the size; resolving it costs the
-		// size walk accepted transfers normally skip, a price only paid
-		// while recording.
+		// The begin frame announces the size, which an accepted
+		// transfer otherwise never asks its source for.
 		s.tapFrame(TapIn, frame{typ: frameBegin, id: id, size: uint64(src.Size()), win: uint32(win)})
 	}
 	ctx, cancel := context.WithCancel(ctx)
@@ -196,8 +195,7 @@ func (f *inprocFragment) receiverDone() {
 }
 
 // Size is resolved lazily from the source: only aborted transfers need
-// it (for byte-savings accounting), so accepted transfers never pay the
-// size walk.
+// it (for byte-savings accounting), so accepted transfers never ask.
 func (f *inprocFragment) Size() int { return f.src.Size() }
 
 func (f *inprocFragment) Next() ([]byte, error) {

@@ -14,15 +14,18 @@
 // against them. A fragment transfer is credit-windowed: the receiver
 // grants a window of N chunk credits at session open (negotiated in the
 // hello and echoed per stream in the begin frame), the sender
-// serializes into fixed-budget chunks and pipelines up to N of them
-// unacked (vectored writes on the wire, a window-buffered channel in
-// InProc), and cumulative acks replenish credits as chunks are
-// consumed. A window of 1 is exactly the classic stop-and-wait wire. A
-// rejection reaches the sender while at most one window of chunks is in
-// flight, so all bytes past sent+window are never serialized — the
-// communication win recorded in the federation's Stats.BytesSaved is
-// real on every wire, diminished by at most window·chunk bytes of
-// in-flight credit.
+// cuts its document's serialization into fixed-budget chunks and
+// pipelines up to N of them unacked (vectored writes on the wire, a
+// window-buffered channel in InProc), and cumulative acks replenish
+// credits as chunks are consumed. A window of 1 is exactly the classic
+// stop-and-wait wire. A rejection reaches the sender while at most one
+// window of chunks is in flight, so all bytes past sent+window never
+// travel — the communication win recorded in the federation's
+// Stats.BytesSaved is real on every wire, diminished by at most
+// window·chunk bytes of in-flight credit. What a rejection saves is
+// wire bytes: a source may hold its serialization ready-made (the p2p
+// resource peers build theirs once per document version), and that
+// build is not undone.
 //
 // Protocol guarantees, pinned by the differential tests in
 // internal/p2p:
@@ -31,8 +34,7 @@
 //     counts and delivered-byte totals are transport- and
 //     window-invariant;
 //   - Abort halts the sender mid-transfer; bytes past the failure point
-//     plus at most one window of credit are never serialized, let alone
-//     shipped;
+//     plus at most one window of credit are never shipped;
 //   - a duplicated or stale ack never grants credit twice: acks carry a
 //     cumulative consumed-chunk count, so replaying one is a no-op;
 //   - a session is bound to a design digest: the hello refuses to pair
@@ -57,8 +59,12 @@ type Source interface {
 	Verdict(ctx context.Context) bool
 	// Size is the exact serialized size of the document in bytes.
 	Size() int
-	// Serialize writes the document's serialization to w incrementally,
-	// stopping at the first write error.
+	// Serialize writes the document's serialization to w, stopping at
+	// the first write error. The transport cuts what it writes into
+	// chunks, so a rejection stops the writes within one credit window;
+	// whether the serialization itself was built up front (as the p2p
+	// peers' cached bytes are) or as it is written is the source's
+	// choice, and a rejection saves wire bytes either way.
 	Serialize(w io.Writer) error
 }
 
