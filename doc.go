@@ -34,7 +34,8 @@
 // speaking a length-prefixed binary frame protocol (session hello with
 // a design digest, per-fragment open/chunk/ack/close frames, and a
 // reject frame that halts a sender mid-transfer). In process, one-shot
-// rounds use a channel handoff, while live sessions run the TCP host's
+// rounds hand the kernel peer chunks sliced from each resource peer's
+// serialized bytes, while live sessions run the TCP host's
 // serving loop over an in-memory pipe, so they share its credit
 // windows, resume, refusals and deadlines by construction. Transfers flow under
 // credit-based sliding-window control: the hello requests a window of

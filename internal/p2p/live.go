@@ -33,11 +33,9 @@ import (
 
 // AttachEditor wraps fn's current document in a live editor and makes
 // the docking point subscribable. The editor becomes authoritative for
-// the peer's document (the one-shot protocols ship the serialization of
-// its current version; an edit landing between a transfer's size
-// announcement and its serialization can skew one-shot accounting,
-// which is why live consumers should use OpenLive's atomic
-// snapshot-plus-log cut).
+// the peer's document: the one-shot protocols ship the serialization of
+// its current version, and live consumers use OpenLive's atomic
+// snapshot-plus-log cut.
 func (n *Network) AttachEditor(fn string) (*live.Editor, error) {
 	peer, ok := n.Peers[fn]
 	if !ok {
@@ -89,7 +87,6 @@ type editorFeedSrc struct {
 }
 
 func (s *editorFeedSrc) Version() uint64 { return s.version }
-func (s *editorFeedSrc) Size() int       { return len(s.snap) }
 
 func (s *editorFeedSrc) Serialize(w io.Writer) error {
 	_, err := w.Write(s.snap)

@@ -34,14 +34,14 @@
 //     stops pulling frames the moment its validator fails, a reject
 //     frame halts the sender, and the bytes never shipped are recorded
 //     in Stats.BytesSaved;
-//   - backpressure is credit-windowed: a sender ships chunks cut from
-//     its document's serialized bytes and never runs more than one
-//     credit window ahead of the kernel peer, so a slow consumer bounds
-//     every transfer's in-flight memory too. Each resource peer builds
-//     those bytes once per document version, in full, on the first
-//     transfer that needs them, and every later transfer of that
-//     version copies them: a rejection saves the wire bytes past the
-//     failure point, not that one build.
+//   - every chunk is a slice of the document's serialized bytes: each
+//     resource peer builds them once per document version, in full, on
+//     the first transfer that needs them, and every transfer of that
+//     version ships slices of them without a copy. Over TCP the sender
+//     never runs more than one credit window ahead of the kernel peer;
+//     in process a chunk is cut only when the kernel peer asks for it.
+//     A rejection saves the wire bytes past the failure point, not that
+//     one build.
 //
 // Message and byte counts are recorded so the example programs and
 // benchmarks can report the communication advantage of local typings
@@ -109,11 +109,12 @@ type Stats struct {
 	// kernel peer rejected the document mid-transfer (or the round was
 	// short-circuited): the communication win of chunked shipping. It is
 	// accounted on the receiver side — announced size minus consumed
-	// chunk bytes — so it is invariant under the credit window. The
-	// sender-side saving is smaller by up to Window·ChunkSize bytes: a
-	// rejection halts the sender within its credit window, so chunks
-	// already in flight (sent but never consumed) still traveled the
-	// wire even though they count as saved here.
+	// chunk bytes — so it is invariant under the credit window. On the
+	// credit-windowed wires (TCP, Pipe) the sender-side saving is smaller
+	// by up to Window·ChunkSize bytes: a rejection halts the sender
+	// within its credit window, so chunks already in flight (sent but
+	// never consumed) still traveled the wire even though they count as
+	// saved here. In process no chunk is cut before it is consumed.
 	BytesSaved int
 	// Revalidated and Skipped account the live session's incremental
 	// revalidation, in the result tree's flat byte measure: how much of
@@ -345,11 +346,11 @@ func (c *ctxHandler) Text() error { c.n++; return c.h.Text() }
 func (c *ctxHandler) EndElement() error { c.n++; return c.h.EndElement() }
 
 // peerSource adapts a ResourcePeer to the transport's sender surface:
-// verdicts from its machine, sizes and serializations from the peer's
-// cached XML bytes of the document version. A nil doc reads the peer's
-// current document at call time (so a host serves edits without
-// re-wiring); a non-nil doc pins an override (the collaborative-edit
-// protocols).
+// verdicts from its machine, serializations from the peer's cached XML
+// bytes of the document version, written in one piece. A nil doc reads
+// the peer's current document at call time (so a host serves edits
+// without re-wiring); a non-nil doc pins an override (the
+// collaborative-edit protocols).
 type peerSource struct {
 	peer *ResourcePeer
 	doc  *xmltree.Tree
@@ -386,8 +387,6 @@ func (s *peerSource) xml() []byte {
 	return s.peer.currentXML()
 }
 
-func (s *peerSource) Size() int { return len(s.xml()) }
-
 func (s *peerSource) Serialize(w io.Writer) error {
 	_, err := w.Write(s.xml())
 	return err
@@ -415,12 +414,13 @@ type Network struct {
 	// chunks a sender may pipeline before parking for the receiver's
 	// cumulative ack. 0 means DefaultWindow; 1 degenerates to
 	// stop-and-wait; negative is refused with ErrInvalidWindow when the
-	// session is built. Verdicts, message counts, and Stats byte totals
-	// are invariant under it — only latency, sender-side rejection
-	// savings (see Stats.BytesSaved), and peer memory change. Combined
-	// with MaxInflight it bounds the kernel peer's buffered fragment
-	// memory at MaxInflight·Window·ChunkSize bytes (each open stream may
-	// hold a full window of unconsumed chunks).
+	// session is built. It applies to the credit-windowed wires (TCP
+	// and Pipe sessions); the in-process wire cuts each chunk only when
+	// the kernel peer asks for it. Verdicts, message counts, and Stats
+	// byte totals are invariant under it — only latency, sender-side
+	// rejection savings (see Stats.BytesSaved), and peer memory change.
+	// Each open stream may hold up to Window·ChunkSize bytes of
+	// unconsumed chunks at the kernel peer.
 	Window int
 
 	// Transport, when non-nil, is the session the kernel peer validates
@@ -428,17 +428,6 @@ type Network struct {
 	// one-shot rounds run over the in-process transport against Peers,
 	// and OpenLive serves Peers over a transport.Pipe.
 	Transport transport.Session
-
-	// MaxInflight bounds how many fragment transfers the kernel peer
-	// keeps open concurrently during centralized validation: streams
-	// are consumed strictly in kernel order, and up to MaxInflight-1
-	// upcoming streams are opened ahead to hide per-transfer latency.
-	// 0 opens every docking point's stream up front. Verdicts and
-	// Stats are invariant under it (credit-window backpressure holds
-	// each opened stream at no more than Window un-acked chunks, so the
-	// combined buffered-memory bound is MaxInflight·Window·ChunkSize
-	// bytes — see Window).
-	MaxInflight int
 
 	// Reconnect is the live session's recovery policy: when a docking
 	// point's edit feed dies, the kernel peer resubscribes from its
@@ -586,15 +575,16 @@ func (n *Network) localSession(override map[string]*xmltree.Tree) (transport.Ses
 	if err != nil {
 		return nil, err
 	}
-	win, err := n.window()
-	if err != nil {
+	// The in-process wire has no credit window, but a negative one is
+	// refused here as on every other wire.
+	if _, err := n.window(); err != nil {
 		return nil, err
 	}
 	srcs := make(map[string]transport.Source, len(peers))
 	for _, p := range peers {
 		srcs[p.Func] = &peerSource{peer: p, doc: override[p.Func], obs: n.Obs}
 	}
-	return &transport.InProc{Sources: srcs, Chunk: n.chunkBudget(), Window: win, Tap: n.Tap}, nil
+	return &transport.InProc{Sources: srcs, Chunk: n.chunkBudget(), Tap: n.Tap}, nil
 }
 
 // session resolves the wire validation runs over: the externally dialed
@@ -822,7 +812,8 @@ func (n *Network) ValidateCentralized() (bool, error) {
 // ValidateCentralizedContext is ValidateCentralized under an external
 // context: canceling it aborts the round *including* in-flight fragment
 // transfers — the walk stops pulling frames, rejects halt the senders,
-// and nothing past the cancellation point is serialized.
+// and nothing past the cancellation point is shipped beyond the credit
+// window.
 func (n *Network) ValidateCentralizedContext(ctx context.Context) (bool, error) {
 	sess, err := n.session()
 	if err != nil {
@@ -837,49 +828,36 @@ func (n *Network) ValidateCentralizedContext(ctx context.Context) (bool, error) 
 // failure (as opposed to an invalid document) is the returned error.
 func (n *Network) centralizedOverSession(parent context.Context, sess transport.Session) (bool, error) {
 	ctx, cancel := context.WithCancel(parent)
-	defer cancel() // releases every in-process sender and pending open
+	defer cancel() // releases every pending open
 	funcs := n.Kernel.Funcs()
 	idx := make(map[string]int, len(funcs))
 	for i, f := range funcs {
 		idx[f] = i
 	}
-	window := n.MaxInflight
-	if window <= 0 {
-		window = len(funcs)
-	}
+	// Every stream is opened up front, in kernel order: each announces
+	// its size, which settles the bytes a cut-short round saved.
 	frags := make([]transport.Fragment, len(funcs))
 	delivered := make([]int, len(funcs))
 	full := make([]bool, len(funcs))
-	opened := 0
-	var transErr error
-	// openThrough opens streams up to index k (inclusive), in kernel
-	// order — the consumption order — so prefetched transfers are the
-	// next ones the walk will need.
 	openStart := make([]int64, len(funcs))
-	openThrough := func(k int) {
-		for opened <= k && opened < len(funcs) && transErr == nil {
-			start := n.Obs.Nanos()
-			frag, err := sess.Open(ctx, funcs[opened])
-			if err != nil {
-				transErr = err
-				return
+	for i, fn := range funcs {
+		openStart[i] = n.Obs.Nanos()
+		frag, err := sess.Open(ctx, fn)
+		if err != nil {
+			for _, f := range frags[:i] {
+				f.Abort()
 			}
-			n.Obs.Observe(obs.HFragmentOpenNs, n.Obs.Nanos()-start)
-			openStart[opened] = start
-			frags[opened] = frag
-			opened++
+			return false, fmt.Errorf("p2p: transport: %w", err)
 		}
+		n.Obs.Observe(obs.HFragmentOpenNs, n.Obs.Nanos()-openStart[i])
+		frags[i] = frag
 	}
-	openThrough(window - 1)
+	var transErr error
 	r := n.GlobalMachine().NewRunner()
 	err := stream.StreamKernel(n.Kernel, r, func(fn string, h stream.Handler) error {
 		i, ok := idx[fn]
 		if !ok {
 			return fmt.Errorf("p2p: unknown docking point %s", fn)
-		}
-		openThrough(i + window - 1)
-		if transErr != nil {
-			return transErr
 		}
 		frag := frags[i]
 		n.Stats.addMessage(len(fn) + 1) // message envelope
@@ -919,19 +897,10 @@ func (n *Network) centralizedOverSession(parent context.Context, sess transport.
 	if transErr == nil {
 		// Settle the byte accounting: every transfer the verdict cut
 		// short — aborted mid-stream or never consumed at all — saved
-		// its remaining bytes. Never-opened streams are opened and
-		// immediately rejected just to learn their announced size.
+		// its remaining bytes.
 		for i := range funcs {
 			if full[i] {
 				continue
-			}
-			if frags[i] == nil {
-				frag, oerr := sess.Open(ctx, funcs[i])
-				if oerr != nil {
-					transErr = oerr
-					break
-				}
-				frags[i] = frag
 			}
 			frags[i].Abort()
 			saved := frags[i].Size() - delivered[i]

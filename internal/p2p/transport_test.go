@@ -24,7 +24,6 @@ func serveFederation(t testing.TB, served *Network) (*Network, func()) {
 	host := served.ServeTCP(ln)
 	joined := NewNetwork(served.Kernel, served.GlobalType)
 	joined.ChunkSize = served.ChunkSize
-	joined.MaxInflight = served.MaxInflight
 	joined.Window = served.Window
 	addrs := map[string]string{}
 	for _, fn := range served.Kernel.Funcs() {
@@ -44,7 +43,7 @@ func serveFederation(t testing.TB, served *Network) (*Network, func()) {
 
 // TestTCPDifferential is the acceptance criterion of the wire
 // transport: on the differential corpus (valid and mutated federations
-// across chunk sizes, inflight limits, and credit windows), a
+// across chunk sizes and credit windows), a
 // federation validated over real TCP loopback produces verdicts,
 // message counts, frame counts, and byte totals — including
 // Stats.BytesSaved on mid-transfer rejections — identical to the
@@ -62,11 +61,9 @@ func TestTCPDifferential(t *testing.T) {
 		}
 		chunk := chunks[trial%len(chunks)]
 		window := windows[(trial/2)%len(windows)]
-		maxInflight := trial % 3 // 0 = open all, 1 = strictly sequential, 2 = one ahead
 		build := func() *Network {
 			n, typing := eurostatSetup(t)
 			n.ChunkSize = chunk
-			n.MaxInflight = maxInflight
 			n.Window = window
 			attachValidDocs(t, n, typing, sizes)
 			if mutateAt >= 0 {
@@ -104,8 +101,8 @@ func TestTCPDifferential(t *testing.T) {
 		shutdown()
 
 		if localDist != remoteDist || localCent != remoteCent {
-			t.Fatalf("trial %d (chunk=%d inflight=%d window=%d): verdicts differ across transports: in-process dist=%v cent=%v, tcp dist=%v cent=%v",
-				trial, chunk, maxInflight, window, localDist, localCent, remoteDist, remoteCent)
+			t.Fatalf("trial %d (chunk=%d window=%d): verdicts differ across transports: in-process dist=%v cent=%v, tcp dist=%v cent=%v",
+				trial, chunk, window, localDist, localCent, remoteDist, remoteCent)
 		}
 		// The distributed round ships only verdicts; on valid federations
 		// the count is exact (short-circuited rounds are scheduling-
@@ -119,16 +116,16 @@ func TestTCPDifferential(t *testing.T) {
 		localCentDelta := diffTotals(localStats, localDistStats)
 		remoteCentDelta := diffTotals(remoteStats, remoteDistStats)
 		if localDist && localCentDelta != remoteCentDelta {
-			t.Fatalf("trial %d (chunk=%d inflight=%d window=%d): centralized stats differ:\n in-process %+v\n tcp        %+v",
-				trial, chunk, maxInflight, window, localCentDelta, remoteCentDelta)
+			t.Fatalf("trial %d (chunk=%d window=%d): centralized stats differ:\n in-process %+v\n tcp        %+v",
+				trial, chunk, window, localCentDelta, remoteCentDelta)
 		}
 		if !localDist {
 			// The distributed deltas are scheduling-dependent, but the
 			// centralized protocol is deterministic even on rejection:
 			// compare its deltas directly.
 			if localCentDelta != remoteCentDelta {
-				t.Fatalf("trial %d (chunk=%d inflight=%d window=%d): centralized stats differ on invalid federation:\n in-process %+v\n tcp        %+v",
-					trial, chunk, maxInflight, window, localCentDelta, remoteCentDelta)
+				t.Fatalf("trial %d (chunk=%d window=%d): centralized stats differ on invalid federation:\n in-process %+v\n tcp        %+v",
+					trial, chunk, window, localCentDelta, remoteCentDelta)
 			}
 		}
 	}

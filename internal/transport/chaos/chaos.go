@@ -45,10 +45,11 @@ const (
 	// FaultTruncate: the frame arrives cut short and the connection
 	// dies — the receiver gets a prefix of the bytes, then ErrInjected.
 	FaultTruncate
-	// FaultStallAck: the receiver sits on its ack — once the sender
-	// exhausts its credit window it parks (with a window of 1,
-	// immediately; wider windows absorb the stall until their credits
-	// run out) — then proceeds.
+	// FaultStallAck: the receiver sits on its ack — on a credit-windowed
+	// wire (TCP, Pipe), once the sender exhausts its window it parks
+	// (with a window of 1, immediately; wider windows absorb the stall
+	// until their credits run out) — then proceeds. In process no chunk
+	// is cut before the receiver asks for it, so the stall is a delay.
 	FaultStallAck
 	// FaultDuplicate: a frame is delivered twice. On an edit feed it is
 	// the at-least-once redelivery a reconnecting subscriber must

@@ -14,7 +14,6 @@ import (
 type fakeSrc struct{ blob []byte }
 
 func (s *fakeSrc) Verdict(ctx context.Context) bool  { return true }
-func (s *fakeSrc) Size() int                         { return len(s.blob) }
 func (s *fakeSrc) Serialize(w io.Writer) (err error) { _, err = w.Write(s.blob); return }
 
 func inproc() *transport.InProc {

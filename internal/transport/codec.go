@@ -51,7 +51,7 @@ const (
 	// DefaultWindow is the per-stream credit window when a config
 	// leaves it zero: deep enough to hide an ack round-trip per chunk
 	// at the default budget, small enough that a rejection's overrun
-	// (at most window·chunk bytes serialized past the failure) stays
+	// (at most window·chunk bytes shipped past the failure) stays
 	// a rounding error against whole-fragment shipping.
 	DefaultWindow = 32
 
@@ -354,6 +354,8 @@ type frameReader struct {
 	obs  *obs.Collector // decode timing sink (nil: no-op)
 	tap  Tap            // flight-recorder seam (nil: no-op)
 	sess uint64         // session trace ID tagged onto tapped frames
+
+	hdr [headerSize]byte // reused frame header (a local would escape via the tap)
 }
 
 func newFrameReader(r io.Reader) *frameReader {
@@ -364,7 +366,7 @@ func newFrameReader(r io.Reader) *frameReader {
 // (clean EOF between frames yields io.EOF); oversized or malformed
 // frames yield a descriptive error. It never panics on garbage.
 func (fr *frameReader) read() (frame, error) {
-	var hdr [headerSize]byte
+	hdr := fr.hdr[:]
 	if _, err := io.ReadFull(fr.r, hdr[:4]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return frame{}, fmt.Errorf("transport: truncated frame header: %w", err)
@@ -496,7 +498,7 @@ func (fr *frameReader) read() (frame, error) {
 		f.str = string(tail)
 	}
 	if fr.tap != nil {
-		fr.tap.TapFrame(TapIn, fr.sess, hdr[:], p)
+		fr.tap.TapFrame(TapIn, fr.sess, hdr, p)
 	}
 	fr.obs.Observe(obs.HFrameDecodeNs, fr.obs.Nanos()-start)
 	fr.obs.Add(obs.CFramesDecoded, 1)

@@ -158,6 +158,37 @@ func TestFrameReaderBoundsAllocation(t *testing.T) {
 	}
 }
 
+// repeatReader yields the same wire bytes over and over.
+type repeatReader struct {
+	wire []byte
+	off  int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := copy(p, r.wire[r.off:])
+	r.off = (r.off + n) % len(r.wire)
+	return n, nil
+}
+
+// TestFrameDecodeChunkAllocFree: decoding a chunk frame with no tap
+// attached allocates nothing — every TCP and Pipe chunk goes through it.
+func TestFrameDecodeChunkAllocFree(t *testing.T) {
+	var wire bytes.Buffer
+	fw := frameWriter{w: &wire}
+	if err := fw.write(frame{typ: frameChunk, id: 9, data: blob(4096)}); err != nil {
+		t.Fatal(err)
+	}
+	fr := newFrameReader(&repeatReader{wire: wire.Bytes()})
+	allocs := testing.AllocsPerRun(100, func() {
+		if f, err := fr.read(); err != nil || f.typ != frameChunk || len(f.data) != 4096 {
+			t.Fatalf("decoded %v, %v", f.typ, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("chunk frame decode cost %v allocations, want 0", allocs)
+	}
+}
+
 // TestLivenessFramesHostile: the liveness and resume frames are the
 // newest attack surface — hostile, truncated, or trailing-garbage ping,
 // pong, and resume frames must yield a decode error with nothing

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -61,49 +62,70 @@ func FuzzFrameCodec(f *testing.F) {
 	})
 }
 
-// FuzzChunker checks the chunking invariant the transports rely on:
-// any write pattern reassembles to the same bytes, every chunk except
-// the last is exactly the budget, and the chunk sequence depends only
-// on the budget — not on how writes were sliced and not on the ring
-// depth (the credit window changes how many chunk buffers cycle, never
-// where chunks are cut).
+// FuzzChunker checks the chunking invariant the transports rely on: a
+// serialization written in any split reassembles to the same bytes
+// through the capture writer, every chunk except the last is exactly
+// the budget, and the chunk sequence depends only on the budget — not
+// on how the source sliced its writes.
 func FuzzChunker(f *testing.F) {
-	f.Add([]byte("<eurostat>\n  <averages/>\n</eurostat>\n"), uint8(4), uint8(3), uint8(2))
-	f.Add(bytes.Repeat([]byte("ab"), 300), uint8(16), uint8(1), uint8(33))
-	f.Add([]byte{}, uint8(1), uint8(5), uint8(0))
+	f.Add([]byte("<eurostat>\n  <averages/>\n</eurostat>\n"), uint8(4), uint8(3))
+	f.Add(bytes.Repeat([]byte("ab"), 300), uint8(16), uint8(1))
+	f.Add([]byte{}, uint8(1), uint8(5))
+	f.Add([]byte("one write"), uint8(64), uint8(0))
 
-	f.Fuzz(func(t *testing.T, doc []byte, budgetRaw, sliceRaw, depthRaw uint8) {
+	f.Fuzz(func(t *testing.T, doc []byte, budgetRaw, sliceRaw uint8) {
 		budget := int(budgetRaw)%64 + 1
-		slice := int(sliceRaw)%17 + 1
-		depth := int(depthRaw) % 66 // 0 and 1 exercise the raise-to-2 floor
-		var chunks [][]byte
-		cw := newChunkerDepth(budget, depth, func(c []byte) error {
-			if len(c) == 0 || len(c) > budget {
-				t.Fatalf("chunk of %d bytes under budget %d", len(c), budget)
-			}
-			chunks = append(chunks, append([]byte(nil), c...))
-			return nil
-		})
-		for off := 0; off < len(doc); off += slice {
-			if _, err := cw.Write(doc[off:min(off+slice, len(doc))]); err != nil {
-				t.Fatal(err)
+		// slice 0 writes the document in one piece, which the capture
+		// keeps by reference; any other value splits it.
+		slice := int(sliceRaw) % 17
+		var c capture
+		if slice == 0 {
+			c.Write(doc)
+		} else {
+			for off := 0; off < len(doc); off += slice {
+				c.Write(doc[off:min(off+slice, len(doc))])
 			}
 		}
-		if err := cw.flush(); err != nil {
+		if !bytes.Equal(c, doc) {
+			t.Fatalf("capture holds %d bytes, want %d", len(c), len(doc))
+		}
+		if slice == 0 && len(doc) > 0 && &c[0] != &doc[0] {
+			t.Fatal("a single write was copied, not kept by reference")
+		}
+		var chunks [][]byte
+		err := shipChunks(c, budget, func(chunk []byte) error {
+			if len(chunk) == 0 || len(chunk) > budget {
+				t.Fatalf("chunk of %d bytes under budget %d", len(chunk), budget)
+			}
+			chunks = append(chunks, chunk)
+			return nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 		var got []byte
-		for i, c := range chunks {
-			if i < len(chunks)-1 && len(c) != budget {
-				t.Fatalf("non-final chunk %d has %d bytes, budget %d", i, len(c), budget)
+		for i, chunk := range chunks {
+			if i < len(chunks)-1 && len(chunk) != budget {
+				t.Fatalf("non-final chunk %d has %d bytes, budget %d", i, len(chunk), budget)
 			}
-			got = append(got, c...)
+			got = append(got, chunk...)
 		}
 		if !bytes.Equal(got, doc) {
 			t.Fatalf("reassembly mismatch: %d bytes in, %d out", len(doc), len(got))
 		}
-		if cw.sent != len(doc) {
-			t.Fatalf("sent = %d, want %d", cw.sent, len(doc))
+		if want := (len(doc) + budget - 1) / budget; len(chunks) != want {
+			t.Fatalf("%d chunks, want %d", len(chunks), want)
+		}
+		// Unchunked: the whole document is one chunk.
+		whole := 0
+		shipChunks(c, math.MaxInt, func(chunk []byte) error {
+			if whole++; !bytes.Equal(chunk, doc) {
+				t.Fatalf("unchunked chunk of %d bytes, want %d", len(chunk), len(doc))
+			}
+			return nil
+		})
+		if want := min(len(doc), 1); whole != want {
+			t.Fatalf("unchunked: %d chunks, want %d", whole, want)
 		}
 	})
 }

@@ -596,31 +596,31 @@ func (s *session) streamErr(id uint32, err error) {
 	s.send(f)
 }
 
-// serveStream runs one fragment transfer: announce the size and the
-// effective window, then ship chunk frames as long as the receiver's
-// cumulative acks leave credit — up to win unacked chunks are
-// pipelined, so the sender is never idle a full round trip per chunk.
-// A reject (or a dead session) cancels sctx: a parked sender wakes at
-// once, and a sender with credit left notices before its next chunk,
-// so at most one window past the failure point is ever serialized.
+// serveStream runs one fragment transfer: capture the source's bytes,
+// announce their length and the effective window, then ship chunk
+// frames sliced from them as long as the receiver's cumulative acks
+// leave credit — up to win unacked chunks are pipelined, so the sender
+// is never idle a full round trip per chunk. A reject (or a dead
+// session) cancels sctx: a parked sender wakes at once, and a sender
+// with credit left notices before its next chunk, so at most one window
+// past the failure point is ever shipped.
 func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, src Source, budget, win int) {
 	defer s.wg.Done()
 	defer st.cancel()
 	defer s.releaseSlot(st)
 	fn := st.fn
 	openStart := spanClock(s.obs)
-	size := src.Size()
-	if err := s.send(frame{typ: frameBegin, id: id, size: uint64(size), win: uint32(win)}); err != nil {
-		return
-	}
-	s.obs.Span(obs.Span{Trace: s.trace, Name: "open", Frag: fn, Start: openStart, End: spanClock(s.obs), Bytes: int64(size)})
-	chunksStart := spanClock(s.obs)
-	cw := newChunker(budget, s.creditedSend(sctx, id, st, win))
-	err := src.Serialize(cw)
+	doc, err := serialized(src)
 	if err == nil {
-		err = cw.flush() // the final partial chunk
+		if err := s.send(frame{typ: frameBegin, id: id, size: uint64(len(doc)), win: uint32(win)}); err != nil {
+			return
+		}
+		s.obs.Span(obs.Span{Trace: s.trace, Name: "open", Frag: fn, Start: openStart, End: spanClock(s.obs), Bytes: int64(len(doc))})
 	}
-	cw.release() // socket writes return their buffers synchronously
+	chunksStart := spanClock(s.obs)
+	if err == nil {
+		err = shipChunks(doc, budget, s.creditedSend(sctx, id, st, win))
+	}
 	s.mu.Lock()
 	delete(s.streams, id)
 	s.mu.Unlock()
@@ -647,11 +647,9 @@ func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, s
 	s.obs.Span(span)
 }
 
-// creditedSend builds the chunker's send callback for a credit-windowed
+// creditedSend builds the chunk send callback for a credit-windowed
 // stream: park while the window is exhausted (sent − acked ≥ win), then
-// ship the chunk with a vectored header+payload write. The chunk buffer
-// is reused the moment the socket write returns, which is why the
-// chunker's two-slot ring suffices on TCP.
+// ship the chunk with a vectored header+payload write.
 func (s *session) creditedSend(sctx context.Context, id uint32, st *hostStream, win int) func([]byte) error {
 	var sent uint64
 	if s.obs != nil {
@@ -748,15 +746,13 @@ func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf 
 	if resumed {
 		rflag = 1
 	}
-	if err := s.send(frame{typ: frameSubscribed, id: id, ver: lf.Version(), size: uint64(lf.Size()), flag: rflag, win: uint32(win)}); err != nil {
-		return
-	}
-	cw := newChunker(budget, s.creditedSend(sctx, id, st, win))
-	err := lf.Serialize(cw)
+	snap, err := serialized(lf)
 	if err == nil {
-		err = cw.flush()
+		if err := s.send(frame{typ: frameSubscribed, id: id, ver: lf.Version(), size: uint64(len(snap)), flag: rflag, win: uint32(win)}); err != nil {
+			return
+		}
+		err = shipChunks(snap, budget, s.creditedSend(sctx, id, st, win))
 	}
-	cw.release()
 	if err != nil {
 		if sctx.Err() == nil {
 			s.releaseSlot(st)

@@ -46,21 +46,21 @@ type LiveSource interface {
 	// continuing it. The context bounds the feed's lifetime.
 	OpenLive(ctx context.Context) (LiveFeedSrc, error)
 	// OpenLiveSince returns a feed continuing from `after`. If the log
-	// still covers the suffix, the feed's Version() is `after`, its
-	// Size() is 0 (no snapshot), and resumed is true. Otherwise it is a
-	// fresh full cut (resumed false).
+	// still covers the suffix, the feed's Version() is `after`, it
+	// serializes no bytes (no snapshot), and resumed is true. Otherwise
+	// it is a fresh full cut (resumed false).
 	OpenLiveSince(ctx context.Context, after uint64) (feed LiveFeedSrc, resumed bool, err error)
 }
 
 // LiveFeedSrc is the sender side of one subscription: a consistent
-// snapshot (Version/Size/Serialize describe the same cut) plus the
+// snapshot (Version and Serialize describe the same cut) plus the
 // blocking edit log behind it.
 type LiveFeedSrc interface {
 	// Version is the snapshot's edit-log version.
 	Version() uint64
-	// Size is the snapshot's exact serialized size in bytes.
-	Size() int
-	// Serialize writes the snapshot.
+	// Serialize writes the snapshot. As with Source.Serialize, the
+	// bytes written must not change after the Write that carried them
+	// returns.
 	Serialize(w io.Writer) error
 	// NextEdit blocks until the edit with version after+1 is published
 	// and returns it.

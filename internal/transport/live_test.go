@@ -51,7 +51,7 @@ func (s *fakeLiveSource) OpenLive(ctx context.Context) (LiveFeedSrc, error) {
 	s.verdictMu.Lock()
 	s.opens++
 	s.verdictMu.Unlock()
-	return &fakeLiveFeed{src: s, base: s.version, size: len(s.blob)}, nil
+	return &fakeLiveFeed{src: s, base: s.version}, nil
 }
 
 // OpenLiveSince completes LiveSource: the fake's log always
@@ -67,7 +67,7 @@ func (s *fakeLiveSource) OpenLiveSince(ctx context.Context, after uint64) (LiveF
 	s.verdictMu.Lock()
 	s.opens++
 	s.verdictMu.Unlock()
-	return &fakeLiveFeed{src: s, base: after, size: 0, empty: true}, true, nil
+	return &fakeLiveFeed{src: s, base: after, empty: true}, true, nil
 }
 
 // OpenLive's two return values as a three-value resume fallback.
@@ -79,12 +79,10 @@ func (s *fakeLiveSource) openFull(ctx context.Context) (LiveFeedSrc, bool, error
 type fakeLiveFeed struct {
 	src   *fakeLiveSource
 	base  uint64
-	size  int
 	empty bool // resumed: no snapshot bytes
 }
 
 func (f *fakeLiveFeed) Version() uint64 { return f.base }
-func (f *fakeLiveFeed) Size() int       { return f.size }
 func (f *fakeLiveFeed) Serialize(w io.Writer) error {
 	if f.empty {
 		return nil

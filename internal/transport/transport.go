@@ -5,8 +5,9 @@
 // Dial runs it over TCP and Pipe over an in-memory connection, so an
 // in-process session gets the TCP host's routing, admission, refusals,
 // deadlines and accounting by construction. InProc is the one
-// exception: a channel handoff for one-shot rounds (verdicts and
-// fragment transfers), kept because it is cheaper than the codec.
+// exception: one-shot rounds (verdicts and fragment transfers) served
+// by direct calls, with chunks handed over as slices of the source's
+// bytes, kept because it is cheaper than the codec.
 //
 // The abstraction is asymmetric, matching the paper's model: resource
 // peers are passive *sources* (they answer verdict requests and stream
@@ -14,18 +15,20 @@
 // against them. A fragment transfer is credit-windowed: the receiver
 // grants a window of N chunk credits at session open (negotiated in the
 // hello and echoed per stream in the begin frame), the sender
-// cuts its document's serialization into fixed-budget chunks and
-// pipelines up to N of them unacked (vectored writes on the wire, a
-// window-buffered channel in InProc), and cumulative acks replenish
-// credits as chunks are consumed. A window of 1 is exactly the classic
+// cuts its document's serialized bytes into fixed-budget chunks —
+// slices of those bytes, never copies — and pipelines up to N of them
+// unacked with vectored writes, and cumulative acks replenish credits
+// as chunks are consumed. A window of 1 is exactly the classic
 // stop-and-wait wire. A rejection reaches the sender while at most one
 // window of chunks is in flight, so all bytes past sent+window never
 // travel — the communication win recorded in the federation's
 // Stats.BytesSaved is real on every wire, diminished by at most
-// window·chunk bytes of in-flight credit. What a rejection saves is
-// wire bytes: a source may hold its serialization ready-made (the p2p
-// resource peers build theirs once per document version), and that
-// build is not undone.
+// window·chunk bytes of in-flight credit (InProc cuts a chunk only
+// when the receiver asks for it, so nothing is in flight). What a
+// rejection saves is wire bytes: the source's serialization is
+// captured in full before its first chunk (the p2p resource peers
+// build theirs once per document version), and that build is not
+// undone.
 //
 // Protocol guarantees, pinned by the differential tests in
 // internal/p2p:
@@ -33,6 +36,8 @@
 //   - chunk boundaries depend only on the configured budget, so frame
 //     counts and delivered-byte totals are transport- and
 //     window-invariant;
+//   - a fragment's announced size is the length of the bytes it
+//     ships: both come from one Serialize call;
 //   - Abort halts the sender mid-transfer; bytes past the failure point
 //     plus at most one window of credit are never shipped;
 //   - a duplicated or stale ack never grants credit twice: acks carry a
@@ -57,14 +62,12 @@ type Source interface {
 	// implementations should poll ctx so a short-circuited round stops
 	// mid-document.
 	Verdict(ctx context.Context) bool
-	// Size is the exact serialized size of the document in bytes.
-	Size() int
-	// Serialize writes the document's serialization to w, stopping at
-	// the first write error. The transport cuts what it writes into
-	// chunks, so a rejection stops the writes within one credit window;
-	// whether the serialization itself was built up front (as the p2p
-	// peers' cached bytes are) or as it is written is the source's
-	// choice, and a rejection saves wire bytes either way.
+	// Serialize writes the document's serialization to w. The bytes
+	// written must not change after the Write that carried them
+	// returns: the transport keeps them without a copy, announces
+	// their length as the fragment's size, and cuts its chunks as
+	// slices of them. A source that holds its serialization ready-made
+	// (as the p2p peers' cached bytes are) writes it in one piece.
 	Serialize(w io.Writer) error
 }
 

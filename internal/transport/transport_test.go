@@ -15,31 +15,21 @@ import (
 )
 
 // fakeSource is a test Source: a fixed byte blob with a fixed verdict.
-// serialized tracks how many bytes Serialize managed to write before
-// the transport halted it — the observable effect of a reject frame.
 type fakeSource struct {
-	blob       []byte
-	verdict    bool
-	slow       bool // poll ctx awareness via many small writes
-	serialized atomic.Int64
-	done       chan struct{} // when set, closed once Serialize returns
+	blob    []byte
+	verdict bool
+	slow    bool // write the blob in many small pieces
 }
 
 func (s *fakeSource) Verdict(ctx context.Context) bool { return s.verdict }
-func (s *fakeSource) Size() int                        { return len(s.blob) }
 
 func (s *fakeSource) Serialize(w io.Writer) error {
-	if s.done != nil {
-		defer close(s.done)
-	}
 	step := len(s.blob)
 	if s.slow {
 		step = 8
 	}
 	for off := 0; off < len(s.blob); off += step {
-		n, err := w.Write(s.blob[off:min(off+step, len(s.blob))])
-		s.serialized.Add(int64(n))
-		if err != nil {
+		if _, err := w.Write(s.blob[off:min(off+step, len(s.blob))]); err != nil {
 			return err
 		}
 	}
@@ -146,37 +136,196 @@ func TestSessionVerdicts(t *testing.T) {
 	})
 }
 
+// chunkTap counts the chunk payload bytes a host writes.
+type chunkTap struct{ bytes atomic.Int64 }
+
+func (c *chunkTap) TapFrame(dir TapDir, sess uint64, head, tail []byte) {
+	if dir == TapOut && len(head) > 4 && frameType(head[4]) == frameChunk {
+		c.bytes.Add(int64(len(head) + len(tail) - 9))
+	}
+}
+
+// closeGate admits every stream and reports each CloseStream, the
+// host's signal that an admitted stream has ended.
+type closeGate struct{ closed chan string }
+
+func (g *closeGate) OpenStream(fn string) error  { return nil }
+func (g *closeGate) CloseStream(fn string)       { g.closed <- fn }
+func (g *closeGate) VerdictServed(fn string)     {}
+func (g *closeGate) ChunkShipped(bytes int)      {}
+func (g *closeGate) FragmentDelivered(fn string) {}
+func (g *closeGate) EditShipped(bytes int)       {}
+func (g *closeGate) Resumed(fn string)           {}
+
+// gateRouter routes every session to one design's sources behind one
+// gate.
+type gateRouter struct {
+	sources map[string]Source
+	gate    Gate
+}
+
+func (r gateRouter) Route(digest []byte) (Route, error) {
+	return Route{Sources: r.sources, Gate: r.gate}, nil
+}
+
 // TestSessionAbortHaltsSender is the mid-transfer rejection guarantee:
-// after Abort, the sender stops serializing — bytes past the failure
-// point never exist, let alone travel.
+// after Abort, the host ends the stream — its admission slot comes back
+// at once — and the chunk bytes it wrote stop within one credit window
+// of what the receiver consumed, far short of the document, over TCP
+// and over a Pipe alike.
 func TestSessionAbortHaltsSender(t *testing.T) {
-	const size = 100_000
-	src := &fakeSource{blob: blob(size), verdict: true, slow: true}
-	sources := map[string]Source{"f1": src}
-	eachTransport(t, sources, 128, func(t *testing.T, s Session) {
-		src.serialized.Store(0)
-		src.done = make(chan struct{})
-		frag, err := s.Open(context.Background(), "f1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if _, err := frag.Next(); err != nil {
+	const size, chunkBudget, win, consumed = 100_000, 128, 4, 3
+	src := &fakeSource{blob: blob(size), verdict: true}
+	for _, wire := range []string{"tcp", "pipe"} {
+		t.Run(wire, func(t *testing.T) {
+			gate := &closeGate{closed: make(chan string, 1)} // one stream, released once
+			tap := &chunkTap{}
+			hcfg := HostConfig{Router: gateRouter{sources: map[string]Source{"f1": src}, gate: gate}, Tap: tap}
+			cfg := Config{Digest: Digest("abort"), Chunk: chunkBudget, Window: win}
+			var c *Conn
+			var err error
+			if wire == "pipe" {
+				c, err = Pipe(hcfg, cfg)
+			} else {
+				ln, lerr := net.Listen("tcp", "127.0.0.1:0")
+				if lerr != nil {
+					t.Fatal(lerr)
+				}
+				h := NewHost(ln, hcfg)
+				defer h.Close()
+				c, err = Dial(h.Addr().String(), cfg)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		frag.Abort()
-		// The sender learns about the reject asynchronously: wait for
-		// Serialize to return, then check it stopped far short of the end.
-		select {
-		case <-src.done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("sender still serializing long after the abort")
-		}
-		if n := src.serialized.Load(); n >= size/10 {
-			t.Errorf("sender serialized %d of %d bytes after an abort at ~384", n, size)
-		}
-	})
+			defer c.Close()
+			frag, err := c.Open(context.Background(), "f1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < consumed; i++ {
+				if _, err := frag.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			frag.Abort()
+			select {
+			case <-gate.closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("host stream still open long after the reject")
+			}
+			n := tap.bytes.Load()
+			if limit := int64((consumed + win) * chunkBudget); n > limit || n >= size/10 {
+				t.Errorf("host wrote %d chunk bytes of %d after an abort at %d consumed chunks (limit %d)",
+					n, size, consumed, limit)
+			}
+		})
+	}
+}
+
+// versionedSource advances one shared version counter on every Size
+// and Serialize call, and every version has a different length: a wire
+// that announced a fragment's size from another call than the one
+// whose bytes it shipped would announce a version it never shipped.
+type versionedSource struct {
+	mu      sync.Mutex
+	version int
+	shipped int // length of the version Serialize last wrote
+}
+
+func (s *versionedSource) next() []byte {
+	s.version++
+	return blob(1000 + 37*s.version)
+}
+
+func (s *versionedSource) Verdict(ctx context.Context) bool { return true }
+
+func (s *versionedSource) Size() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.next())
+}
+
+func (s *versionedSource) Serialize(w io.Writer) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	doc := s.next()
+	s.shipped = len(doc)
+	_, err := w.Write(doc)
+	return err
+}
+
+// TestAnnouncedSizeIsShippedBytes: a fragment's announced size is the
+// length of the bytes it ships, on every wire — a fully delivered
+// transfer delivers exactly Size() bytes, and on an aborted one the
+// saved bytes (Size() minus delivered, as Stats.BytesSaved counts them)
+// plus the delivered bytes make up the shipped version exactly.
+func TestAnnouncedSizeIsShippedBytes(t *testing.T) {
+	const chunkBudget = 64
+	src := &versionedSource{}
+	sources := map[string]Source{"f1": src}
+	digest := Digest("versioned")
+	cfg := Config{Digest: digest, Chunk: chunkBudget}
+	sessions := map[string]func(t *testing.T) Session{
+		"inproc": func(t *testing.T) Session { return &InProc{Sources: sources, Chunk: chunkBudget} },
+		"pipe": func(t *testing.T) Session {
+			c, err := Pipe(HostConfig{Digest: digest, Sources: sources}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
+		"tcp": func(t *testing.T) Session {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := NewHost(ln, HostConfig{Digest: digest, Sources: sources})
+			t.Cleanup(func() { h.Close() })
+			c, err := Dial(h.Addr().String(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
+	}
+	for name, open := range sessions {
+		t.Run(name, func(t *testing.T) {
+			s := open(t)
+			defer s.Close()
+			for _, abortAfter := range []int{-1, 2} {
+				frag, err := s.Open(context.Background(), "f1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				delivered := 0
+				for i := 0; i != abortAfter; i++ {
+					chunk, err := frag.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					delivered += len(chunk)
+				}
+				if abortAfter >= 0 {
+					frag.Abort()
+				}
+				saved := frag.Size() - delivered
+				src.mu.Lock()
+				shipped := src.shipped
+				src.mu.Unlock()
+				if abortAfter < 0 && saved != 0 {
+					t.Errorf("full transfer: Size() = %d, delivered %d bytes", frag.Size(), delivered)
+				}
+				if saved+delivered != shipped {
+					t.Errorf("abort after %d chunks: saved %d + delivered %d, the shipped version has %d bytes",
+						abortAfter, saved, delivered, shipped)
+				}
+			}
+		})
+	}
 }
 
 // blockingSource parks in Verdict until its context dies, recording
@@ -192,7 +341,6 @@ func (s *blockingSource) Verdict(ctx context.Context) bool {
 	close(s.canceled)
 	return false
 }
-func (s *blockingSource) Size() int                   { return 0 }
 func (s *blockingSource) Serialize(w io.Writer) error { return nil }
 
 // TestVerdictCancelPropagates pins the short-circuit guarantee across

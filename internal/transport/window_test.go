@@ -230,57 +230,6 @@ func TestDialRejectsNegativeWindow(t *testing.T) {
 	}
 }
 
-// TestInProcWindowBoundsSender: the in-process sender runs at most one
-// credit window ahead of its receiver — serialized bytes never exceed
-// consumed + (window+1 ring slots) of chunk budget.
-func TestInProcWindowBoundsSender(t *testing.T) {
-	const chunkBudget, win = 64, 4
-	src := &fakeSource{blob: blob(chunkBudget * 100), verdict: true, slow: true}
-	s := &InProc{Sources: map[string]Source{"f1": src}, Chunk: chunkBudget, Window: win}
-	frag, err := s.Open(context.Background(), "f1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer frag.Abort()
-	consumed := 0
-	check := func() {
-		// The sender may fill the channel (win-1), the receiver handoff
-		// (1), the in-progress ring slot (1), and its internal write can
-		// land one more chunk boundary — allow one slack chunk.
-		limit := int64(consumed + win + 2*chunkBudget)
-		waitSettled(t, &src.serialized)
-		if n := src.serialized.Load(); n > int64(consumed)+int64((win+2)*chunkBudget) {
-			t.Fatalf("sender serialized %d bytes with %d consumed: ran past the %d-chunk window (limit ~%d)",
-				n, consumed, win, limit)
-		}
-	}
-	check()
-	for i := 0; i < 3; i++ {
-		chunk, err := frag.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		consumed += len(chunk)
-	}
-	check()
-}
-
-// waitSettled waits until a counter stops moving — the sender has
-// parked on backpressure, so the bound can be asserted race-free.
-func waitSettled(t *testing.T, c interface{ Load() int64 }) {
-	t.Helper()
-	prev := int64(-1)
-	for i := 0; i < 200; i++ {
-		cur := c.Load()
-		if cur == prev {
-			return
-		}
-		prev = cur
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal("sender never settled")
-}
-
 // TestTCPFragmentDuplicateAck: the exported duplicate-ack seam replays
 // the last cumulative ack; the transfer still completes exactly once
 // with the same bytes — the sender gained nothing from the replay.
