@@ -35,6 +35,14 @@ const (
 // caller is in control of when bytes exist — which is what lets the p2p
 // wire deliver fragments frame by frame and reject them mid-transfer.
 //
+// A start tag <name> or <name/>, and the end tag of the innermost open
+// element, that lie wholly inside the current chunk are scanned in place.
+// A resumable byte machine takes over only for markup cut by a chunk
+// boundary, and for attributes, whitespace inside tags, comments, CDATA,
+// processing instructions and DOCTYPE declarations. Both paths emit the
+// same events and errors, so the event stream does not depend on how the
+// document is split into chunks.
+//
 // Memory is O(chunk + depth): the tokenizer holds one partial tag name
 // (plus the open-element stack for end-tag matching); chunks are never
 // retained across Feed calls. Each distinct start-tag spelling is
@@ -44,7 +52,8 @@ const (
 // CDATA sections, processing instructions and DOCTYPE declarations are
 // scanned and dropped, matching the paper's structural abstraction and
 // the encoding/xml front-end's event stream on everything structural:
-// element labels (namespace prefixes stripped), end-tag matching (raw
+// element labels (Name.Local: a name splits at its colon only when it
+// has exactly one, with both sides non-empty), end-tag matching (raw
 // names, prefix included), root-count and balance errors. Lexical
 // strictness is the one deliberate divergence — attribute syntax and
 // comment/name minutiae are tolerated rather than validated, since the
@@ -64,15 +73,16 @@ type Feeder struct {
 	onClose  func(error) error
 
 	state       feedState
-	pendingText bool                 // a text run continues past a chunk boundary
-	name        []byte               // partial tag name / "<!" discriminator
-	mark        int                  // terminator progress in comment/CDATA/PI states
-	brackets    int                  // DOCTYPE internal-subset depth
-	quote       byte                 // active attribute-value quote
-	depth       int                  // open elements
-	roots       int                  // top-level elements seen
-	stack       []string             // open-element raw names, for end-tag matching
-	labels      map[string]nameEntry // start-tag name cache (zero-alloc lookups)
+	pendingText bool                  // a text run continues past a chunk boundary
+	name        []byte                // partial tag name / "<!" discriminator
+	mark        int                   // terminator progress in comment/CDATA/PI states
+	brackets    int                   // DOCTYPE internal-subset depth
+	quote       byte                  // active attribute-value quote
+	depth       int                   // open elements
+	roots       int                   // top-level elements seen
+	stack       []string              // open elements' nameEntry.tag, for end-tag matching
+	labels      map[string]nameEntry  // every start-tag spelling seen, by raw name
+	recent      [labelSlots]nameEntry // direct-mapped cache in front of labels
 }
 
 // NewFeeder returns a Feeder that pushes one document's events into h.
@@ -119,38 +129,66 @@ func (f *Feeder) Err() error { return f.err }
 // Depth returns the number of currently open elements.
 func (f *Feeder) Depth() int { return f.depth }
 
-// nameEntry is the cached form of one start-tag name: the raw spelling
-// (used for end-tag matching, prefix included, exactly as encoding/xml
-// matches full names), where the label forwarded to the handler starts
-// in it (past a namespace prefix: encoding/xml's Name.Local), and the
-// handler's symbol for that label.
+// nameEntry is the cached form of one start-tag name: tag is the raw
+// spelling followed by '>', the bytes an end tag must repeat (prefix
+// included, exactly as encoding/xml matches full names); local is where
+// the label forwarded to the handler starts in it (past a namespace
+// prefix: encoding/xml's Name.Local); sym is the handler's symbol for
+// that label.
 type nameEntry struct {
-	raw   string
+	tag   string
 	local int32
 	sym   Sym
 }
 
-func (e nameEntry) label() string { return e.raw[e.local:] }
+func (e nameEntry) raw() string   { return e.tag[:len(e.tag)-1] }
+func (e nameEntry) label() string { return e.tag[e.local : len(e.tag)-1] }
+
+// labelSlots is the size of the direct-mapped label cache. A slot is
+// picked from a name's length and its first and last bytes, and a hit is
+// confirmed by comparing the bytes, so a collision costs only a fall
+// through to the labels map, whose hash a peer cannot steer.
+const labelSlots = 16
+
+func labelSlot(raw []byte) int {
+	return (len(raw) + int(raw[0])<<2 + int(raw[len(raw)-1])) & (labelSlots - 1)
+}
 
 // lookup resolves a raw start-tag name, allocation-free after the first
 // occurrence of each distinct spelling.
-func (f *Feeder) lookup(raw []byte) nameEntry {
-	if e, ok := f.labels[string(raw)]; ok {
-		return e
+func (f *Feeder) lookup(raw []byte) (nameEntry, error) {
+	slot := &f.recent[labelSlot(raw)]
+	if t := slot.tag; len(t) == len(raw)+1 && string(raw) == t[:len(raw)] {
+		return *slot, nil
 	}
-	if f.labels == nil {
-		f.labels = make(map[string]nameEntry, 8)
+	e, ok := f.labels[string(raw)]
+	if !ok {
+		// encoding/xml's nsname: more than one colon is not a name, and
+		// one colon splits it only with both sides non-empty.
+		c := bytes.IndexByte(raw, ':')
+		if c >= 0 && bytes.IndexByte(raw[c+1:], ':') >= 0 {
+			return e, f.fatal("malformed element name %q: more than one ':'", string(raw))
+		}
+		e = nameEntry{tag: string(raw) + ">"}
+		if c > 0 && c < len(raw)-1 {
+			e.local = int32(c + 1)
+		}
+		e.sym = f.h.Resolve(e.label())
+		if f.labels == nil {
+			f.labels = make(map[string]nameEntry, 8)
+		}
+		f.labels[e.raw()] = e
 	}
-	e := nameEntry{raw: string(raw)}
-	if i := bytes.IndexByte(raw, ':'); i >= 0 {
-		e.local = int32(i + 1)
-	}
-	e.sym = f.h.Resolve(e.label())
-	f.labels[e.raw] = e
-	return e
+	*slot = e
+	return e, nil
 }
 
-func (f *Feeder) open(e nameEntry) error {
+// open resolves a raw start-tag name and opens its element.
+func (f *Feeder) open(raw []byte) error {
+	e, err := f.lookup(raw)
+	if err != nil {
+		return err
+	}
 	if f.depth == 0 {
 		if f.roots > 0 {
 			return f.fatal("multiple roots")
@@ -163,7 +201,7 @@ func (f *Feeder) open(e nameEntry) error {
 			return err
 		}
 	}
-	f.stack = append(f.stack, e.raw)
+	f.stack = append(f.stack, e.tag)
 	f.depth++
 	return nil
 }
@@ -174,9 +212,14 @@ func (f *Feeder) close(raw []byte) error {
 		return f.fatal("unbalanced end tag </%s>", raw)
 	}
 	top := f.stack[len(f.stack)-1]
-	if string(raw) != top {
+	if top = top[:len(top)-1]; string(raw) != top {
 		return f.fatal("mismatched end tag: </%s> closes <%s>", raw, top)
 	}
+	return f.end()
+}
+
+// end closes the innermost open element.
+func (f *Feeder) end() error {
 	f.stack = f.stack[:len(f.stack)-1]
 	f.depth--
 	if f.depth >= f.skip {
@@ -198,19 +241,29 @@ func (f *Feeder) text() error {
 	return nil
 }
 
-// nameStart reports whether c can begin a tag name. Liberal by design
-// (any non-ASCII byte is accepted, as the middle of a UTF-8 rune): the
-// validator cares about structure, not lexical niceties, and unknown
-// labels are rejected by the schema anyway.
-func nameStart(c byte) bool {
-	return c == '_' || c >= 0x80 ||
-		('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z')
+// nameStart and nameByte are the one definition of a tag name's bytes:
+// which bytes can begin a name, and which can continue one. Liberal by
+// design (any non-ASCII byte is accepted, as the middle of a UTF-8 rune):
+// the validator cares about structure, not lexical niceties, and unknown
+// labels are rejected by the schema anyway. A colon may begin a name, as
+// in encoding/xml.
+var nameStart, nameByte = nameTables()
+
+func nameTables() (start, cont [256]bool) {
+	for c := range 256 {
+		start[c] = c == '_' || c == ':' || c >= 0x80 ||
+			('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z')
+		cont[c] = start[c] || c == '-' || c == '.' || ('0' <= c && c <= '9')
+	}
+	return start, cont
 }
 
-// nameByte reports whether c can continue a tag name.
-func nameByte(c byte) bool {
-	return nameStart(c) || c == ':' || c == '-' || c == '.' ||
-		('0' <= c && c <= '9')
+// scanName returns the end of the run of name bytes in p from i.
+func scanName(p []byte, i int) int {
+	for i < len(p) && nameByte[p[i]] {
+		i++
+	}
+	return i
 }
 
 func isSpace(c byte) bool {
@@ -251,7 +304,14 @@ func (f *Feeder) Feed(p []byte) error {
 				}
 			}
 			i += j + 1
-			f.state = fsLT
+			if i == n {
+				f.state = fsLT
+				break
+			}
+			var err error
+			if i, err = f.tag(p, i); err != nil {
+				return err
+			}
 
 		case fsLT:
 			c := p[i]
@@ -266,7 +326,7 @@ func (f *Feeder) Feed(p []byte) error {
 			case c == '?':
 				f.state = fsPI
 				f.mark = 0
-			case nameStart(c):
+			case nameStart[c]:
 				f.state = fsStartName
 				f.name = append(f.name[:0], c)
 			default:
@@ -274,18 +334,16 @@ func (f *Feeder) Feed(p []byte) error {
 			}
 
 		case fsStartName:
-			for i < n && nameByte(p[i]) {
-				f.name = append(f.name, p[i])
-				i++
-			}
-			if i == n {
+			e := scanName(p, i)
+			f.name = append(f.name, p[i:e]...)
+			if i = e; i == n {
 				break
 			}
 			c := p[i]
 			i++
 			switch {
 			case c == '>':
-				if err := f.open(f.lookup(f.name)); err != nil {
+				if err := f.open(f.name); err != nil {
 					return err
 				}
 				f.state = fsText
@@ -308,7 +366,7 @@ func (f *Feeder) Feed(p []byte) error {
 			i++
 			switch c {
 			case '>':
-				if err := f.open(f.lookup(f.name)); err != nil {
+				if err := f.open(f.name); err != nil {
 					return err
 				}
 				f.state = fsText
@@ -336,20 +394,18 @@ func (f *Feeder) Feed(p []byte) error {
 			if c != '>' {
 				return f.fatal("malformed self-closing tag <%s/%c", f.name, c)
 			}
-			if err := f.open(f.lookup(f.name)); err != nil {
+			if err := f.open(f.name); err != nil {
 				return err
 			}
-			if err := f.close(f.name); err != nil {
+			if err := f.end(); err != nil {
 				return err
 			}
 			f.state = fsText
 
 		case fsEndName:
-			for i < n && nameByte(p[i]) {
-				f.name = append(f.name, p[i])
-				i++
-			}
-			if i == n {
+			e := scanName(p, i)
+			f.name = append(f.name, p[i:e]...)
+			if i = e; i == n {
 				break
 			}
 			c := p[i]
@@ -467,6 +523,46 @@ func (f *Feeder) Feed(p []byte) error {
 		}
 	}
 	return f.err
+}
+
+// tag reads the markup after a '<' at p[i-1], with p[i] in the chunk. A
+// start tag <name> or <name/>, or the end tag of the innermost open
+// element, that lies wholly in p is handled in place, leaving the Feeder
+// in fsText. Anything else is handed to the byte machine in the state it
+// would have reached, with the index it resumes from.
+func (f *Feeder) tag(p []byte, i int) (int, error) {
+	switch c := p[i]; {
+	case nameStart[c]:
+		e := scanName(p, i+1)
+		if e < len(p) {
+			switch p[e] {
+			case '>':
+				return e + 1, f.open(p[i:e])
+			case '/':
+				if e+1 < len(p) && p[e+1] == '>' {
+					if err := f.open(p[i:e]); err != nil {
+						return e, err
+					}
+					return e + 2, f.end()
+				}
+			}
+		}
+		f.name = append(f.name[:0], p[i:e]...)
+		f.state = fsStartName
+		return e, nil
+	case c == '/':
+		if f.depth > 0 {
+			top := f.stack[len(f.stack)-1]
+			if e := i + 1 + len(top); e <= len(p) && string(p[i+1:e]) == top {
+				return e, f.end()
+			}
+		}
+		f.name = f.name[:0]
+		f.state = fsEndName
+		return i + 1, nil
+	}
+	f.state = fsLT
+	return i, nil
 }
 
 // doctypeByte advances the declaration scanner by one byte, reporting

@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -57,43 +59,78 @@ func decodeXMLEvents(r io.Reader, h Handler) error {
 	return nil
 }
 
-// countHandler accepts every event, counting starts and ends, so the
-// tokenizer can be tested independently of any schema.
+// countHandler accepts every event, counting starts and ends and logging
+// every event in order, so the tokenizer can be tested independently of
+// any schema. Its Resolve is a deterministic hash of the label, never
+// NoSym, so the log pins the symbol each start carries too.
 type countHandler struct {
-	starts, ends, texts int
-	labels              []string
+	starts, ends int
+	labels       []string
+	log          []string // "<label sym", "text", "/"
 }
 
-func (c *countHandler) Resolve(string) Sym { return NoSym }
+func (c *countHandler) Resolve(label string) Sym {
+	h := uint32(2166136261) // FNV-1a
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint32(label[i])) * 16777619
+	}
+	return Sym(h & 0xffff)
+}
 
-func (c *countHandler) StartElement(label string, _ Sym) error {
+func (c *countHandler) StartElement(label string, sym Sym) error {
 	c.starts++
 	c.labels = append(c.labels, label)
+	c.log = append(c.log, fmt.Sprintf("<%s %d", label, sym))
 	return nil
 }
-func (c *countHandler) Text() error       { c.texts++; return nil }
-func (c *countHandler) EndElement() error { c.ends++; return nil }
+func (c *countHandler) Text() error {
+	c.log = append(c.log, "text")
+	return nil
+}
+func (c *countHandler) EndElement() error {
+	c.ends++
+	c.log = append(c.log, "/")
+	return nil
+}
+
+// structure is the log without its text events: the start/end sequence,
+// which the encoding/xml oracle must match event for event.
+func (c *countHandler) structure() []string {
+	var s []string
+	for _, ev := range c.log {
+		if ev != "text" {
+			s = append(s, ev)
+		}
+	}
+	return s
+}
 
 // feedBytes pushes src through a fresh Feeder in chunks of the given
 // size and closes it.
 func feedBytes(h Handler, src string, chunk int, inner bool) error {
-	var f *Feeder
 	if inner {
-		f = NewInnerFeeder(h)
-	} else {
-		f = NewFeeder(h)
+		return feedChunks(NewInnerFeeder(h), []byte(src), []int{chunk})
 	}
-	b := []byte(src)
-	for len(b) > 0 {
-		n := min(chunk, len(b))
-		if err := f.Feed(b[:n]); err != nil {
+	return feedChunks(NewFeeder(h), []byte(src), []int{chunk})
+}
+
+// feedChunks pushes src through f, cutting it at the given chunk sizes
+// (cycled; the rest goes in one chunk when sizes is empty), and returns
+// the verdict.
+func feedChunks(f *Feeder, src []byte, sizes []int) error {
+	for i := 0; len(src) > 0; i++ {
+		n := len(src)
+		if len(sizes) > 0 {
+			n = min(sizes[i%len(sizes)], len(src))
+		}
+		if err := f.Feed(src[:n]); err != nil {
 			// Sticky: Close must report the same verdict.
 			if cerr := f.Close(); cerr == nil {
 				return fmt.Errorf("Feed failed (%v) but Close succeeded", err)
 			}
 			return err
 		}
-		b = b[n:]
+		src = src[n:]
 	}
 	return f.Close()
 }
@@ -152,12 +189,19 @@ var malformedCorpus = []string{
 	"<ns:a><ns:b/></ns:a>",
 	"  <a>  <b> text </b> </a>  ",
 	"<a>&lt;entity&gt;</a>",
+	// Label splits follow encoding/xml's nsname: one colon with both
+	// sides non-empty splits, more than one is not a name, and a colon
+	// may begin a name.
+	"<a:></a:>",
+	"<a:b:c></a:b:c>",
+	"<:a></:a>",
 }
 
 // TestFeederAgreesWithDecoder pins the hand-rolled push tokenizer against
 // the encoding/xml oracle on the malformed corpus: the verdict
 // (accepted/rejected) must agree for whole-document, 7-byte-chunk, and
-// one-byte-at-a-time feeding.
+// one-byte-at-a-time feeding, and on acceptance so must the start/end
+// sequence, labels and symbols included.
 func TestFeederAgreesWithDecoder(t *testing.T) {
 	for _, src := range malformedCorpus {
 		var oracleH countHandler
@@ -170,15 +214,8 @@ func TestFeederAgreesWithDecoder(t *testing.T) {
 					chunk, src, err, oracleErr)
 				continue
 			}
-			if err == nil {
-				if h.starts != oracleH.starts || h.ends != oracleH.ends {
-					t.Errorf("chunk %d on %q: feeder saw %d/%d events, decoder %d/%d",
-						chunk, src, h.starts, h.ends, oracleH.starts, oracleH.ends)
-				}
-				if fmt.Sprint(h.labels) != fmt.Sprint(oracleH.labels) {
-					t.Errorf("chunk %d on %q: labels %v vs decoder %v",
-						chunk, src, h.labels, oracleH.labels)
-				}
+			if got, want := fmt.Sprint(h.structure()), fmt.Sprint(oracleH.structure()); err == nil && got != want {
+				t.Errorf("chunk %d on %q: events %s, decoder %s", chunk, src, got, want)
 			}
 		}
 	}
@@ -243,29 +280,52 @@ func TestInnerFeeder(t *testing.T) {
 	}
 }
 
-// TestFeederChunkBoundaryInvariance serializes a real document and checks
-// that every chunk size yields the identical event sequence — markup is
-// split at arbitrary byte positions, including inside tags, names,
-// comments and CDATA terminators.
+// TestFeederChunkBoundaryInvariance serializes a real document, decorated
+// with the markup the byte machine handles (attributes, whitespace in
+// tags, prefixes, comments, CDATA, a PI), and checks that every chunk
+// size and random split yields the identical event log — starts with
+// their symbols, text runs and ends — as feeding it whole, and that the
+// whole document's start/end sequence is encoding/xml's. Markup is split
+// at arbitrary byte positions, including inside tags, names, comments
+// and CDATA terminators, so the in-chunk tag path is pinned against the
+// byte machine.
 func TestFeederChunkBoundaryInvariance(t *testing.T) {
-	doc := xmltree.MustParse("s(a(b c(d) e) f(g(h i) j) k)")
-	src := "<?pi data?><!-- x -->" + doc.XMLString() + "<!-- tail -->"
-	var want countHandler
-	if err := feedBytes(&want, src, len(src), false); err != nil {
+	doc := xmltree.MustParse("s(a(b c(d) e) f(g(h i) j) k)").XMLString()
+	end := strings.LastIndex(doc, "</s>")
+	src := []byte("<?pi data?><!-- x -->" + doc[:end] +
+		`<x:long-name.1 attr="v>w" other='q'><y:self-closing-name />` +
+		`<![CDATA[ <not/> ]]>text</x:long-name.1 ><a/><a ></a><:c/><d:></d:>` +
+		doc[end:] + "<!-- tail -->")
+	var want, oracle countHandler
+	if err := feedChunks(NewFeeder(&want), src, nil); err != nil {
 		t.Fatal(err)
 	}
-	for chunk := 1; chunk <= 13; chunk++ {
+	if err := decodeXMLEvents(bytes.NewReader(src), &oracle); err != nil {
+		t.Fatal(err)
+	}
+	if got, w := fmt.Sprint(want.structure()), fmt.Sprint(oracle.structure()); got != w {
+		t.Fatalf("events %s, decoder %s", got, w)
+	}
+	check := func(what string, sizes []int) {
+		t.Helper()
 		var h countHandler
-		if err := feedBytes(&h, src, chunk, false); err != nil {
-			t.Fatalf("chunk %d: %v", chunk, err)
+		if err := feedChunks(NewFeeder(&h), src, sizes); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
-		if fmt.Sprint(h.labels) != fmt.Sprint(want.labels) || h.ends != want.ends {
-			t.Fatalf("chunk %d: events diverge: %v vs %v", chunk, h.labels, want.labels)
+		if got, w := strings.Join(h.log, ","), strings.Join(want.log, ","); got != w {
+			t.Fatalf("%s: events diverge:\n got %s\nwant %s", what, got, w)
 		}
-		if h.texts != want.texts {
-			t.Fatalf("chunk %d: text runs not coalesced: %d events vs %d",
-				chunk, h.texts, want.texts)
+	}
+	for chunk := 1; chunk <= 13; chunk++ {
+		check(fmt.Sprintf("chunk %d", chunk), []int{chunk})
+	}
+	r := rand.New(rand.NewSource(1))
+	for range 20 {
+		sizes := make([]int, 1+r.Intn(6))
+		for i := range sizes {
+			sizes[i] = 1 + r.Intn(40)
 		}
+		check(fmt.Sprintf("split %v", sizes), sizes)
 	}
 }
 
@@ -297,5 +357,51 @@ func TestFeederPrefixedEndTags(t *testing.T) {
 				t.Errorf("feedBytes(%q, chunk %d) = %v, want %q", c.src, chunk, err, c.want)
 			}
 		}
+	}
+}
+
+// TestFeederFeedAllocFree pins the push path at zero allocations per
+// Feed once the Feeder has seen every label: a reused inner Feeder, as the
+// kernel peer splices a fragment into its validation run, fed the
+// nationalIndex entries of a Eurostat document again and again, in 4 KiB
+// chunks and in 1-byte chunks, through the validator.
+func TestFeederFeedAllocFree(t *testing.T) {
+	m := Compile(eurostatEDTD(t, schema.KindNRE))
+	r := m.NewRunner()
+	defer r.Release()
+	if err := startElement(r, "eurostat"); err != nil {
+		t.Fatal(err)
+	}
+	doc := eurostatDocBytes(2_000)
+	end := bytes.LastIndex(doc, []byte("</eurostat>"))
+	entries := doc[bytes.Index(doc, []byte("<nationalIndex>")):end]
+	f := NewInnerFeeder(r)
+	if err := f.Feed(doc[:end]); err != nil { // warms the label table
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{4096, 1} {
+		feeds := (len(entries) + chunk - 1) / chunk
+		allocs := testing.AllocsPerRun(3, func() {
+			for off := 0; off < len(entries); off += chunk {
+				if err := f.Feed(entries[off:min(off+chunk, len(entries))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("chunk %d: %v allocations per %d Feeds, want 0", chunk, allocs, feeds)
+		}
+	}
+	if err := f.Feed(doc[end:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.EndElement(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,30 +1,21 @@
 package stream
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dxml/internal/schema"
 	"dxml/internal/xmltree"
 )
 
-// feedSplit pushes src through a fresh Feeder of m, cutting it at the
-// given chunk sizes (cycled; the rest goes in one chunk when sizes is
-// empty), and returns the verdict.
-func feedSplit(m *Machine, src []byte, sizes []int) error {
-	f := m.NewFeeder()
-	for i := 0; len(src) > 0; i++ {
-		n := len(src)
-		if len(sizes) > 0 {
-			n = min(sizes[i%len(sizes)], len(src))
-		}
-		if err := f.Feed(src[:n]); err != nil {
-			f.Close()
-			return err
-		}
-		src = src[n:]
-	}
-	return f.Close()
+// feedLog pushes src through a fresh schema-free Feeder, cut as
+// feedChunks cuts it, and returns the event log with the verdict.
+func feedLog(src []byte, sizes []int) (*countHandler, error) {
+	h := &countHandler{}
+	return h, feedChunks(NewFeeder(h), src, sizes)
 }
 
 // FuzzFeeder is the push parser's differential fuzz target, run against
@@ -34,12 +25,20 @@ func feedSplit(m *Machine, src []byte, sizes []int) error {
 //     verdict equals Machine.ValidateTree on that tree;
 //   - random chunk splits, down to one byte at a time, give the same
 //     verdict with byte-identical error text;
+//   - the same splits give a schema-free Feeder the same event stream —
+//     starts with label and symbol, text runs, ends — and error text as
+//     feeding it whole, which pins the in-chunk tag path (whole input)
+//     against the byte machine (one byte at a time);
+//   - whenever encoding/xml accepts the input, so does that Feeder, with
+//     the decoder's start/end sequence;
 //   - malformed input fails with an error, never a panic.
 //
 // The seeds cover the cases end-tag matching and name resolution must
 // get right: mismatched end tags, prefixed names (<a:b> has label b but
-// must be closed by </a:b>), self-closing tags, labels the machine does
-// not know, and names split across chunk boundaries.
+// must be closed by </a:b>), self-closing tags, whitespace before a
+// tag's '>', labels the machine does not know, the label splits of
+// encoding/xml's nsname, and names split across chunk boundaries
+// (random splits are at most 9 bytes long).
 func FuzzFeeder(f *testing.F) {
 	for _, s := range []string{
 		"<eurostat><averages><Good/><index><value/><year/></index></averages></eurostat>",
@@ -60,6 +59,14 @@ func FuzzFeeder(f *testing.F) {
 		"<eurostat/><eurostat/>",
 		"</eurostat>",
 		"<eurostat",
+		"<a />",
+		"<a></a >",
+		"<a x='>' y=\"/>\"><b/></a>",
+		"<nationalIndex><country/><averagesAndMore></averagesAndMore></nationalIndex>",
+		"<x:eurostat><y:averages/><zz:nationalIndex /></x:eurostat>",
+		"<a:></a:>",
+		"<a:b:c></a:b:c>",
+		"<:a></:a>",
 	} {
 		f.Add([]byte(s), int64(len(s)))
 	}
@@ -76,11 +83,27 @@ func FuzzFeeder(f *testing.F) {
 		for i := range sizes {
 			sizes[i] = 1 + r.Intn(9)
 		}
+		events, eventsErr := feedLog(src, nil)
+		for _, split := range [][]int{sizes, {1}} {
+			got, err := feedLog(src, split)
+			if fmt.Sprint(err) != fmt.Sprint(eventsErr) {
+				t.Fatalf("split %v on %q: %v, whole document: %v", split, src, err, eventsErr)
+			}
+			if g, w := strings.Join(got.log, ","), strings.Join(events.log, ","); g != w {
+				t.Fatalf("split %v on %q: events %s, whole document: %s", split, src, g, w)
+			}
+		}
+		var oracle countHandler
+		if decodeXMLEvents(bytes.NewReader(src), &oracle) == nil {
+			if g, w := fmt.Sprint(events.structure()), fmt.Sprint(oracle.structure()); eventsErr != nil || g != w {
+				t.Fatalf("feeder on %q: events %s (%v), encoding/xml %s", src, g, eventsErr, w)
+			}
+		}
 		tree, oerr := xmltree.ParseXML(string(src))
 		for _, m := range machines {
-			whole := feedSplit(m, src, nil)
+			whole := feedChunks(m.NewFeeder(), src, nil)
 			for _, split := range [][]int{sizes, {1}} {
-				got := feedSplit(m, src, split)
+				got := feedChunks(m.NewFeeder(), src, split)
 				if (got == nil) != (whole == nil) || (got != nil && got.Error() != whole.Error()) {
 					t.Fatalf("split %v on %q: %v, whole document: %v", split, src, got, whole)
 				}
