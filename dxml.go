@@ -455,7 +455,8 @@ var (
 	DisplayRegex = strlang.DisplayRegex
 	// Equivalent decides string-language equivalence with a witness.
 	Equivalent = strlang.Equivalent
-	// Included decides string-language inclusion with a witness.
+	// Included decides string-language inclusion; on failure it returns
+	// the shortest witness, least by symbol names among those.
 	Included = strlang.Included
 	// RegexDeterministic is the syntactic dRE test.
 	RegexDeterministic = strlang.RegexDeterministic

@@ -52,7 +52,7 @@ func Compose(k *axml.Kernel, typing Typing) (*schema.EDTD, error) {
 			if name == start {
 				continue
 			}
-			renamed := relabel(tau.Rule(name).Lang(), func(s string) string { return imported(i, s) })
+			renamed := tau.Rule(name).Lang().MapSymbols(func(s string) string { return imported(i, s) })
 			out.DeclareName(imported(i, name), tau.Elem(name))
 			out.MustSetRule(imported(i, name), schema.NewContentNFA(renamed))
 		}
@@ -73,7 +73,7 @@ func Compose(k *axml.Kernel, typing Typing) (*schema.EDTD, error) {
 		for _, c := range n.Children {
 			if i, isFn := fnIndex[c.Label]; isFn {
 				root := RootContent(typing[i])
-				parts = append(parts, relabel(root, func(s string) string { return imported(i, s) }))
+				parts = append(parts, root.MapSymbols(func(s string) string { return imported(i, s) }))
 			} else {
 				parts = append(parts, strlang.SymbolLang(witness(c)))
 			}
@@ -82,27 +82,6 @@ func Compose(k *axml.Kernel, typing Typing) (*schema.EDTD, error) {
 		return true
 	})
 	return out, nil
-}
-
-// relabel rewrites an NFA's symbols by f.
-func relabel(nfa *strlang.NFA, f func(string) string) *strlang.NFA {
-	out := strlang.NewNFA()
-	for q := 1; q < nfa.NumStates(); q++ {
-		out.AddState()
-	}
-	out.SetStart(nfa.Start())
-	for q := range nfa.Finals().All() {
-		out.MarkFinal(q)
-	}
-	nfa.EachTransition(func(from int, s strlang.Symbol, to int) {
-		out.AddTransition(from, f(s), to)
-	})
-	for q := 0; q < nfa.NumStates(); q++ {
-		for _, t := range nfa.EpsSucc(q) {
-			out.AddEps(q, int(t))
-		}
-	}
-	return out
 }
 
 // ExtensionLang returns extT(τn) as a tree automaton-backed EDTD; it is

@@ -215,7 +215,7 @@ func mergeNames(work *schema.EDTD, a, b string) {
 		if !ok {
 			continue
 		}
-		renamed := relabel(c.Lang(), func(s string) string {
+		renamed := c.Lang().MapSymbols(func(s string) string {
 			if s == b {
 				return a
 			}

@@ -9,6 +9,7 @@ import (
 	"dxml/internal/axml"
 	"dxml/internal/schema"
 	"dxml/internal/strlang"
+	"dxml/internal/uta"
 	"dxml/internal/xmltree"
 )
 
@@ -22,8 +23,8 @@ import (
 
 // EDTDDesign is a top-down R-EDTD design ⟨τ, T⟩.
 //
-// The normalized type, the perfect κ, the κ space and the box designs of
-// every κ are built on first use and reused by every procedure later
+// The normalized type, the tree automaton of the type, the perfect κ, the
+// κ space and the box designs of every κ are built on first use and reused by every procedure later
 // called on the same value, together with what each box design derives
 // (see BoxDesign); they are rebuilt when Type or Kernel is replaced or
 // AllowTrivialTypes changes. Procedure results are not kept, and
@@ -46,6 +47,7 @@ type edtdDerived struct {
 	allowTrivial bool
 
 	norm         *schema.EDTD
+	typeNUTA     *uta.NUTA       // Type.ToNUTA, with its ε-free content automata
 	nodes        []*xmltree.Tree // kernelElementNodes, the κ key order
 	kappas       []Kappa
 	perfectKappa Kappa
@@ -83,6 +85,24 @@ func (d *EDTDDesign) Normalized() (*schema.EDTD, error) {
 		c.norm = n
 	}
 	return c.norm, nil
+}
+
+// typeNUTA returns the tree automaton of the design's type, built on
+// first use.
+func (d *EDTDDesign) typeNUTA() *uta.NUTA {
+	c := d.cache()
+	if c.typeNUTA == nil {
+		c.typeNUTA, _ = d.Type.ToNUTA()
+	}
+	return c.typeNUTA
+}
+
+// equivalentToType reports whether [comp] = [τ], against the kept tree
+// automaton of τ.
+func (d *EDTDDesign) equivalentToType(comp *schema.EDTD) bool {
+	na, _ := comp.ToNUTA()
+	ok, _ := uta.Equivalent(na, d.typeNUTA())
+	return ok
 }
 
 // Kappa assigns to each kernel element node a nonempty set of specialized
@@ -381,8 +401,7 @@ func (d *EDTDDesign) verifyLocal(typing Typing) bool {
 	if err != nil {
 		return false
 	}
-	ok, _ := schema.EquivalentEDTD(comp, d.Type)
-	return ok
+	return d.equivalentToType(comp)
 }
 
 // ExistsPerfect decides ∃-perf[R-EDTD] (Corollary 4.16): build the perfect
@@ -435,8 +454,7 @@ func (d *EDTDDesign) IsLocal(typing Typing) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	ok, _ := schema.EquivalentEDTD(comp, d.Type)
-	return ok, nil
+	return d.equivalentToType(comp), nil
 }
 
 // allKappas returns every κ (nonempty subsets of Σ̃d(lab(x)) per element

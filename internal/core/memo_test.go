@@ -387,4 +387,18 @@ func TestReplacedFieldsRebuild(t *testing.T) {
 	if ts, err := e.MaximalLocalTypings(); err != nil || len(ts) != 3 {
 		t.Fatalf("EDTD Example 5 after replacing the type: %d maximal local typings (err %v), want 3", len(ts), err)
 	}
+
+	// The kept tree automaton of the type follows a replaced type.
+	typing := Typing{
+		schema.MustParseEDTD(schema.KindNRE, "root s1\ns1 -> a"),
+		schema.MustParseEDTD(schema.KindNRE, "root s2\ns2 -> b"),
+	}
+	e = &EDTDDesign{Type: schema.MustParseEDTD(schema.KindNRE, "root s\ns -> (a, b) | (b, a)"), Kernel: k}
+	if ok, err := e.IsLocal(typing); err != nil || ok {
+		t.Fatalf("s(a b) against s -> (a, b) | (b, a): local=%v err=%v, want false", ok, err)
+	}
+	e.Type = schema.MustParseEDTD(schema.KindNRE, "root s\ns -> a, b")
+	if ok, err := e.IsLocal(typing); err != nil || !ok {
+		t.Fatalf("s(a b) after replacing the type by s -> a, b: local=%v err=%v, want true", ok, err)
+	}
 }

@@ -97,7 +97,7 @@ func ConsSDTDCandidate(k *axml.Kernel, typing Typing) (ConsResult, error) {
 		var parts []*strlang.NFA
 		for _, n := range s.names {
 			trimmed, _ := red.Rule(n).Lang().Trim()
-			parts = append(parts, relabel(trimmed, func(c string) string {
+			parts = append(parts, trimmed.MapSymbols(func(c string) string {
 				return nameOf(succ(s, red.Elem(c)))
 			}))
 		}

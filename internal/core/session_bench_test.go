@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"dxml/internal/axml"
@@ -143,4 +145,51 @@ func edtdSession(tb testing.TB, d *EDTDDesign) (a sessionAnswer) {
 	}
 	a.perfect = ok
 	return a
+}
+
+// BenchmarkEquivalenceEDTD prices the locality check of an EDTD design on
+// its own: equivalence of the composed typing T(τn) with the global type
+// τ, both ways, for the first maximal local typing of Figure 6's design
+// (cmd/dxml/testdata/tauprimeprime.design). Run with:
+//
+//	go test ./internal/core/ -run '^$' -bench EquivalenceEDTD -benchmem
+func BenchmarkEquivalenceEDTD(b *testing.B) {
+	src, err := os.ReadFile("../../cmd/dxml/testdata/tauprimeprime.design")
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The design file's kernel line and type block; the rest of the
+	// format is the command's business.
+	var kernel string
+	var typ strings.Builder
+	inType := false
+	for _, line := range strings.Split(string(src), "\n") {
+		line = strings.TrimSpace(line)
+		switch {
+		case inType && line == "end":
+			inType = false
+		case inType:
+			typ.WriteString(line + "\n")
+		case line == "type:":
+			inType = true
+		case strings.HasPrefix(line, "kernel "):
+			kernel = strings.TrimPrefix(line, "kernel ")
+		}
+	}
+	tau := schema.MustParseEDTD(schema.KindNRE, typ.String())
+	k := axml.MustParseKernel(kernel)
+	mls, err := (&EDTDDesign{Type: tau, Kernel: k}).MaximalLocalTypings()
+	if err != nil || len(mls) == 0 {
+		b.Fatalf("no maximal local typing (err %v)", err)
+	}
+	comp, err := Compose(k, mls[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if ok, w := schema.EquivalentEDTD(comp, tau); !ok {
+			b.Fatalf("T(τn) ≢ τ on %s", w)
+		}
+	}
 }

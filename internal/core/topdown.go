@@ -482,7 +482,7 @@ func (d *DTDDesign) IsMaximalLocal(typing Typing) (bool, error) {
 		return false, err
 	}
 	wt := wordTypingOf(typing, func(i int, lang *strlang.NFA) *strlang.NFA {
-		return relabel(lang, typing[i].Elem)
+		return lang.MapSymbols(typing[i].Elem)
 	})
 	return d.checkNodeMaximality(wt)
 }
@@ -511,7 +511,7 @@ func (d *DTDDesign) IsPerfect(typing Typing) (bool, error) {
 		return false, err
 	}
 	wt := wordTypingOf(typing, func(i int, lang *strlang.NFA) *strlang.NFA {
-		return relabel(lang, typing[i].Elem)
+		return lang.MapSymbols(typing[i].Elem)
 	})
 	for _, nd := range d.nodeDesigns() {
 		local := make(WordTyping, len(nd.FuncIdx))

@@ -151,7 +151,7 @@ func TestTauPrimePrimeTwoMaximalTypings(t *testing.T) {
 	// Project root contents to element names for comparison with the
 	// paper's types (our normalized names differ syntactically).
 	projected := func(typing Typing, i int) *strlang.NFA {
-		return relabel(RootContent(typing[i]), typing[i].Elem)
+		return RootContent(typing[i]).MapSymbols(typing[i].Elem)
 	}
 	langs := func(srcs ...string) []*strlang.NFA {
 		out := make([]*strlang.NFA, len(srcs))
@@ -234,7 +234,7 @@ func TestExample7(t *testing.T) {
 	foundStar := false
 	for _, typing := range typings {
 		tau2 := typing[1]
-		proj := relabel(RootContent(tau2), tau2.Elem)
+		proj := RootContent(tau2).MapSymbols(tau2.Elem)
 		if ok, _ := strlang.Equivalent(proj, strlang.RegexNFA(strlang.MustParseRegex("b*"))); !ok {
 			continue
 		}
@@ -286,7 +286,7 @@ func TestExample8(t *testing.T) {
 	// The two typings type f2 with b and with c respectively.
 	var f2Langs []string
 	for _, typing := range typings {
-		proj := relabel(RootContent(typing[1]), typing[1].Elem)
+		proj := RootContent(typing[1]).MapSymbols(typing[1].Elem)
 		f2Langs = append(f2Langs, strlang.RegexString(strlang.RegexFromNFA(proj)))
 	}
 	joined := strings.Join(f2Langs, " / ")

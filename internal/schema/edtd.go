@@ -168,37 +168,15 @@ func (e *EDTD) ToNUTA() (*uta.NUTA, map[string]int) {
 	for i, n := range names {
 		idx[n] = i
 	}
+	toState := func(s strlang.Symbol) strlang.Symbol { return uta.StateSym(idx[s]) }
 	a := uta.NewNUTA(len(names))
 	for _, n := range names {
-		content := relabelToStates(e.Rule(n).Lang(), idx)
-		a.SetDelta(idx[n], e.Elem(n), content)
+		a.SetDelta(idx[n], e.Elem(n), e.Rule(n).Lang().MapSymbols(toState))
 	}
 	for _, s := range e.Starts {
 		a.MarkFinal(idx[s])
 	}
 	return a, idx
-}
-
-// relabelToStates rewrites an NFA over specialized names into one over
-// state symbols.
-func relabelToStates(nfa *strlang.NFA, idx map[string]int) *strlang.NFA {
-	out := strlang.NewNFA()
-	for q := 1; q < nfa.NumStates(); q++ {
-		out.AddState()
-	}
-	out.SetStart(nfa.Start())
-	for q := range nfa.Finals().All() {
-		out.MarkFinal(q)
-	}
-	nfa.EachTransition(func(from int, s strlang.Symbol, to int) {
-		out.AddTransition(from, uta.StateSym(idx[s]), to)
-	})
-	for q := 0; q < nfa.NumStates(); q++ {
-		for _, t := range nfa.EpsSucc(q) {
-			out.AddEps(q, int(t))
-		}
-	}
-	return out
 }
 
 // Validate reports whether t ∈ [e]; nil means valid.

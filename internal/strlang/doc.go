@@ -37,6 +37,10 @@
 //     invariant with an O(log k) search (duplicate suppression no longer
 //     scans the whole out-degree). Rows cost memory proportional to the
 //     state's actual out-degree even when the global id space is large.
+//     Constructions that produce a whole automaton at once (Clone, Graft,
+//     WithoutEps, Trim, Reverse, MapSymbols) collect each row's edges,
+//     sort and deduplicate them once, and carve all rows out of a few
+//     shared arrays instead of inserting edge by edge.
 //
 //   - State sets (IntSet) are []uint64 bitsets with word-wise
 //     Union/Intersect/SubsetOf and a collision-free packed Key() for
@@ -44,6 +48,8 @@
 //
 //   - The per-state ε-closures and the name-sorted alphabet are computed
 //     once and cached on the automaton until the next mutation, so
-//     Determinize, Step chains and the UTA product constructions never
-//     re-traverse ε-edges or rebuild symbol sets.
+//     Determinize and Step chains never re-traverse ε-edges or rebuild
+//     symbol sets. Inclusion and the tree-automaton constructions work on
+//     ε-free forms (WithoutEps) built once per decision or per automaton,
+//     and step them with MoveInto, which only reads.
 package strlang

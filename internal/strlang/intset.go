@@ -30,8 +30,8 @@ func NewIntSet(elems ...int) IntSet {
 }
 
 func (s *Bits) grow(word int) {
-	for len(s.words) <= word {
-		s.words = append(s.words, 0)
+	if word >= len(s.words) {
+		s.words = append(s.words, make([]uint64, word+1-len(s.words))...)
 	}
 }
 

@@ -41,17 +41,114 @@ func (r *nfaRow) add(sid, to int32) (newSym bool) {
 	return false
 }
 
-// clone returns a deep copy of r with targets shifted by off.
-func (r *nfaRow) clone(off int32) nfaRow {
-	out := nfaRow{syms: slices.Clone(r.syms), ts: make([][]int32, len(r.ts))}
-	for i, ts := range r.ts {
-		shifted := make([]int32, len(ts))
-		for j, t := range ts {
-			shifted[j] = t + off
+// rowArena hands out the backing arrays of rows built together, so that
+// copying or rebuilding an automaton's n rows costs a few allocations
+// instead of 2n. Every slice it hands out is capped at its length: a later
+// add on the row reallocates instead of writing over a neighbour.
+type rowArena struct {
+	ints  []int32   // symbols and targets; len is what is handed out
+	lists [][]int32 // target-list headers
+}
+
+// newRowArena returns an arena sized for rows holding about ints symbols
+// and targets and lists symbols in all.
+func newRowArena(ints, lists int) *rowArena {
+	return &rowArena{ints: make([]int32, 0, ints), lists: make([][]int32, 0, lists)}
+}
+
+// rowSize returns the symbols and targets of a's rows, and its symbols.
+func (a *NFA) rowSize() (ints, lists int) {
+	for q := range a.trans {
+		r := &a.trans[q]
+		lists += len(r.syms)
+		ints += len(r.syms)
+		for _, ts := range r.ts {
+			ints += len(ts)
 		}
-		out.ts[i] = shifted
+	}
+	return ints, lists
+}
+
+// take returns n fresh int32s; when the current chunk is full, a new one
+// at least as large is started and the old one stays with its rows.
+func (ar *rowArena) take(n int) []int32 {
+	if cap(ar.ints)-len(ar.ints) < n {
+		ar.ints = make([]int32, 0, max(n, cap(ar.ints), 64))
+	}
+	lo := len(ar.ints)
+	ar.ints = ar.ints[:lo+n]
+	return ar.ints[lo : lo+n : lo+n]
+}
+
+// takeLists returns n fresh target-list headers.
+func (ar *rowArena) takeLists(n int) [][]int32 {
+	if cap(ar.lists)-len(ar.lists) < n {
+		ar.lists = make([][]int32, 0, max(n, cap(ar.lists), 16))
+	}
+	lo := len(ar.lists)
+	ar.lists = ar.lists[:lo+n]
+	return ar.lists[lo : lo+n : lo+n]
+}
+
+// clone returns a deep copy of r with targets shifted by off.
+func (ar *rowArena) clone(r *nfaRow, off int32) nfaRow {
+	if len(r.syms) == 0 {
+		return nfaRow{}
+	}
+	n := len(r.syms)
+	for _, ts := range r.ts {
+		n += len(ts)
+	}
+	back := ar.take(n)
+	out := nfaRow{syms: back[:len(r.syms):len(r.syms)], ts: ar.takeLists(len(r.ts))}
+	copy(out.syms, r.syms)
+	at := len(r.syms)
+	for i, ts := range r.ts {
+		dst := back[at : at+len(ts) : at+len(ts)]
+		for j, t := range ts {
+			dst[j] = t + off
+		}
+		out.ts[i] = dst
+		at += len(ts)
 	}
 	return out
+}
+
+// packEdge packs the edge (sid, to) so that packed edges sort by symbol,
+// then target.
+func packEdge(sid, to int32) uint64 { return uint64(sid)<<32 | uint64(uint32(to)) }
+
+// build returns the row of the packed edges, which it sorts in place and
+// deduplicates.
+func (ar *rowArena) build(edges []uint64) nfaRow {
+	if len(edges) == 0 {
+		return nfaRow{}
+	}
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	nsyms := 1
+	for i := 1; i < len(edges); i++ {
+		if edges[i]>>32 != edges[i-1]>>32 {
+			nsyms++
+		}
+	}
+	back := ar.take(nsyms + len(edges))
+	r := nfaRow{syms: back[:0:nsyms], ts: ar.takeLists(nsyms)[:0]}
+	tgt := back[nsyms:nsyms]
+	lo := 0
+	for i, e := range edges {
+		sid := int32(e >> 32)
+		if i == 0 || sid != r.syms[len(r.syms)-1] {
+			if i > 0 {
+				r.ts = append(r.ts, tgt[lo:len(tgt):len(tgt)])
+			}
+			r.syms = append(r.syms, sid)
+			lo = len(tgt)
+		}
+		tgt = append(tgt, int32(uint32(e)))
+	}
+	r.ts = append(r.ts, tgt[lo:len(tgt):len(tgt)])
+	return r
 }
 
 // NFA is a nondeterministic finite automaton with ε-transitions
@@ -237,8 +334,9 @@ func (a *NFA) Clone() *NFA {
 		alpha: a.alpha,
 		clos:  slices.Clone(a.clos),
 	}
+	ar := newRowArena(a.rowSize())
 	for q := range a.trans {
-		b.trans[q] = a.trans[q].clone(0)
+		b.trans[q] = ar.clone(&a.trans[q], 0)
 	}
 	for q, ts := range a.eps {
 		b.eps[q] = slices.Clone(ts)
@@ -252,11 +350,14 @@ func (a *NFA) Clone() *NFA {
 // automata together (union, concatenation, Ω-gluing, relabelings).
 func (a *NFA) Graft(src *NFA) int {
 	off := len(a.trans)
+	a.trans = slices.Grow(a.trans, len(src.trans))
+	a.eps = slices.Grow(a.eps, len(src.eps))
+	ar := newRowArena(src.rowSize())
 	for q := range src.trans {
-		a.trans = append(a.trans, src.trans[q].clone(int32(off)))
+		a.trans = append(a.trans, ar.clone(&src.trans[q], int32(off)))
 		var eps []int32
 		if ts := src.eps[q]; len(ts) > 0 {
-			eps = make([]int32, len(ts))
+			eps = ar.take(len(ts))
 			for i, t := range ts {
 				eps[i] = t + int32(off)
 			}
@@ -402,18 +503,39 @@ func (a *NFA) Reach(q int) IntSet { return a.reachableFrom(q) }
 
 // Reverse returns the automaton with all edges reversed. The start/final
 // designations of the result are not meaningful; it is a helper for
-// co-reachability computations.
+// co-reachability computations. Each reversed row is built in bulk from
+// the incoming edges of its state.
 func (a *NFA) Reverse() *NFA {
-	b := &NFA{final: NewIntSet()}
-	b.trans = make([]nfaRow, len(a.trans))
-	b.eps = make([][]int32, len(a.eps))
+	n := len(a.trans)
+	b := &NFA{final: NewIntSet(), trans: make([]nfaRow, n), eps: make([][]int32, n)}
+	// Bucket every edge by its target (counting sort), then build each
+	// target's row from its bucket.
+	head := make([]int32, n+1)
+	for q := range a.trans {
+		for _, ts := range a.trans[q].ts {
+			for _, t := range ts {
+				head[t+1]++
+			}
+		}
+	}
+	for q := 0; q < n; q++ {
+		head[q+1] += head[q]
+	}
+	edges := make([]uint64, head[n])
+	fill := slices.Clone(head[:n])
 	for q := range a.trans {
 		row := &a.trans[q]
 		for i, sid := range row.syms {
 			for _, t := range row.ts[i] {
-				b.trans[t].add(sid, int32(q))
+				edges[fill[t]] = packEdge(sid, int32(q))
+				fill[t]++
 			}
 		}
+	}
+	ints, lists := a.rowSize()
+	ar := newRowArena(ints, lists)
+	for t := 0; t < n; t++ {
+		b.trans[t] = ar.build(edges[head[t]:head[t+1]])
 	}
 	for q, ts := range a.eps {
 		for _, t := range ts {
@@ -424,16 +546,62 @@ func (a *NFA) Reverse() *NFA {
 }
 
 // coReachable returns the states from which some state in targets is
-// reachable (reflexively).
+// reachable (reflexively), by a backward walk over a predecessor index of
+// the symbol and ε edges.
 func (a *NFA) coReachable(targets IntSet) IntSet {
-	return a.Reverse().reachableFrom(targets.Sorted()...)
+	n := len(a.trans)
+	head := make([]int32, n+1)
+	for q := range a.trans {
+		for _, ts := range a.trans[q].ts {
+			for _, t := range ts {
+				head[t+1]++
+			}
+		}
+		for _, t := range a.eps[q] {
+			head[t+1]++
+		}
+	}
+	for q := 0; q < n; q++ {
+		head[q+1] += head[q]
+	}
+	pred := make([]int32, head[n])
+	fill := slices.Clone(head[:n])
+	for q := range a.trans {
+		for _, ts := range a.trans[q].ts {
+			for _, t := range ts {
+				pred[fill[t]] = int32(q)
+				fill[t]++
+			}
+		}
+		for _, t := range a.eps[q] {
+			pred[fill[t]] = int32(q)
+			fill[t]++
+		}
+	}
+	seen := targets.Copy()
+	stack := fill[:0] // reuse: fill is no longer needed
+	for q := range targets.All() {
+		stack = append(stack, int32(q))
+	}
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, q := range pred[head[t]:head[t+1]] {
+			if !seen.Has(int(q)) {
+				seen.Add(int(q))
+				stack = append(stack, q)
+			}
+		}
+	}
+	return seen
 }
 
 // Trim returns an equivalent automaton containing only useful states
 // (reachable from the start and co-reachable to a final state). The start
 // state is always kept, so the result of trimming an empty-language
 // automaton is a single-state automaton with no finals. The second result
-// maps old state ids to new ones (-1 for dropped states).
+// maps old state ids to new ones (-1 for dropped states). Kept states keep
+// their relative order, so every row is copied in bulk, already sorted.
 func (a *NFA) Trim() (*NFA, []int) {
 	fwd := a.reachableFrom(a.start)
 	bwd := a.coReachable(a.final)
@@ -443,63 +611,157 @@ func (a *NFA) Trim() (*NFA, []int) {
 	for i := range old2new {
 		old2new[i] = -1
 	}
-	b := &NFA{final: NewIntSet()}
+	n := 0
 	for q := range keep.All() {
-		old2new[q] = b.AddState()
+		old2new[q] = n
+		n++
 	}
-	b.start = old2new[a.start]
+	b := &NFA{start: old2new[a.start], final: NewIntSet(), trans: make([]nfaRow, n), eps: make([][]int32, n)}
+	ar := newRowArena(a.rowSize())
+	var scratch []uint64
 	for q := range keep.All() {
 		nq := old2new[q]
 		if a.final.Has(q) {
-			b.MarkFinal(nq)
+			b.final.Add(nq)
 		}
 		row := &a.trans[q]
+		scratch = scratch[:0]
 		for i, sid := range row.syms {
 			for _, t := range row.ts[i] {
 				if nt := old2new[t]; nt >= 0 {
-					b.AddTransitionID(nq, sid, nt)
+					scratch = append(scratch, packEdge(sid, int32(nt)))
 				}
 			}
 		}
+		b.trans[nq] = ar.build(scratch)
+		var eps []int32
 		for _, t := range a.eps[q] {
 			if nt := old2new[t]; nt >= 0 {
-				b.AddEps(nq, nt)
+				eps = append(eps, int32(nt))
 			}
 		}
+		b.eps[nq] = eps
 	}
 	return b, old2new
 }
 
 // WithoutEps returns an equivalent automaton with no ε-transitions and the
 // same state ids: each state gains the symbol transitions of its ε-closure,
-// and is final if its ε-closure meets a final state.
+// and is final if its ε-closure meets a final state. A state with no
+// ε-edge keeps a copy of its row; any other row is collected from the
+// closure's rows and sorted once. It only reads a: closures are walked in
+// a scratch set, not cached on a.
 func (a *NFA) WithoutEps() *NFA {
-	a.ensureClosures()
-	b := &NFA{start: a.start, final: NewIntSet()}
-	b.trans = make([]nfaRow, len(a.trans))
-	b.eps = make([][]int32, len(a.eps))
+	n := len(a.trans)
+	b := &NFA{start: a.start, final: NewIntSet(), trans: make([]nfaRow, n), eps: make([][]int32, n)}
+	ar := newRowArena(a.rowSize())
+	var scratch []uint64
+	var stack []int32
+	cl := NewIntSet()
 	for q := range a.trans {
-		cl := a.clos[q]
-		if cl.Intersects(a.final) {
-			b.MarkFinal(q)
+		if len(a.eps[q]) == 0 {
+			if a.final.Has(q) {
+				b.final.Add(q)
+			}
+			b.trans[q] = ar.clone(&a.trans[q], 0)
+			continue
 		}
+		cl.Clear()
+		cl.Add(q)
+		stack = append(stack[:0], int32(q))
+		for len(stack) > 0 {
+			p := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, t := range a.eps[p] {
+				if !cl.Has(int(t)) {
+					cl.Add(int(t))
+					stack = append(stack, t)
+				}
+			}
+		}
+		if cl.Intersects(a.final) {
+			b.final.Add(q)
+		}
+		scratch = scratch[:0]
 		for p := range cl.All() {
 			row := &a.trans[p]
 			for i, sid := range row.syms {
 				for _, t := range row.ts[i] {
-					b.AddTransitionID(q, sid, int(t))
+					scratch = append(scratch, packEdge(sid, t))
 				}
 			}
 		}
+		b.trans[q] = ar.build(scratch)
 	}
 	return b
 }
 
+// MapSymbols returns a copy of a with every symbol renamed by f, which
+// is called once per distinct symbol. Renaming may merge symbols; each row
+// is built in bulk, sorted and deduplicated once.
+func (a *NFA) MapSymbols(f func(Symbol) Symbol) *NFA {
+	n := len(a.trans)
+	b := &NFA{start: a.start, final: a.final.Copy(), trans: make([]nfaRow, n), eps: make([][]int32, n)}
+	renamed := map[int32]int32{}
+	ar := newRowArena(a.rowSize())
+	var scratch []uint64
+	for q := range a.trans {
+		row := &a.trans[q]
+		scratch = scratch[:0]
+		for i, sid := range row.syms {
+			to, ok := renamed[sid]
+			if !ok {
+				to = Intern(f(SymbolName(sid)))
+				renamed[sid] = to
+			}
+			for _, t := range row.ts[i] {
+				scratch = append(scratch, packEdge(to, t))
+			}
+		}
+		b.trans[q] = ar.build(scratch)
+		b.eps[q] = slices.Clone(a.eps[q])
+	}
+	return b
+}
+
+// MoveInto unions into dst the states reached from cur by one sid edge,
+// without ε-closure; on an ε-free automaton it is StepIDInto. It only
+// reads a, so automata that are no longer mutated can be stepped from
+// several goroutines at once.
+func (a *NFA) MoveInto(dst, cur IntSet, sid int32) {
+	for q := range cur.All() {
+		for _, t := range a.trans[q].get(sid) {
+			dst.Add(int(t))
+		}
+	}
+}
+
 // UsefulSymbols returns the sorted symbols that occur in some accepted
 // string ("the alphabet of the language", used by dual(τ) in Def. 4).
+//
+// They are the symbols on edges between the states Trim keeps, the useful
+// states and the start state; no trimmed copy is built.
 func (a *NFA) UsefulSymbols() []Symbol {
-	t, _ := a.Trim()
-	return t.Alphabet()
+	useful := a.reachableFrom(a.start).Intersect(a.coReachable(a.final))
+	useful.Add(a.start)
+	ids := collectAlphabet(func(yield func(int32)) {
+		for q := range useful.All() {
+			row := &a.trans[q]
+			for i, sid := range row.syms {
+				for _, t := range row.ts[i] {
+					if useful.Has(int(t)) {
+						yield(sid)
+						break
+					}
+				}
+			}
+		}
+	})
+	out := make([]Symbol, len(ids))
+	for i, id := range ids {
+		out[i] = SymbolName(id)
+	}
+	return out
 }
 
 // EachTransition calls f for every transition (from, sym, to), with from

@@ -1,6 +1,10 @@
 package strlang
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -169,5 +173,65 @@ func TestSize(t *testing.T) {
 	a := mustLang(t, "a b")
 	if a.Size() <= a.NumStates() {
 		t.Errorf("Size = %d should exceed state count %d", a.Size(), a.NumStates())
+	}
+}
+
+// TestBulkRowsAreIndependent: the copies Clone, WithoutEps, Trim, Reverse,
+// MapSymbols and Graft build share backing arrays between rows; adding
+// symbol or ε edges to one row afterwards must leave every other row, and
+// the source, as they were.
+func TestBulkRowsAreIndependent(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	edgeSet := func(a *NFA) map[string]bool {
+		out := map[string]bool{}
+		a.EachTransition(func(from int, sym Symbol, to int) {
+			out[fmt.Sprintf("%d %s %d", from, sym, to)] = true
+		})
+		for q := 0; q < a.NumStates(); q++ {
+			for _, t := range a.EpsSucc(q) {
+				out[fmt.Sprintf("%d ε %d", q, t)] = true
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 200; trial++ {
+		src := randomNFA(r)
+		before := src.String()
+		trimmed, _ := src.Trim()
+		grafted := NewNFA()
+		grafted.Graft(src)
+		copies := []*NFA{src.Clone(), src.WithoutEps(), trimmed, src.Reverse(), src.MapSymbols(func(s Symbol) Symbol { return s + "'" }), grafted}
+		for ci, c := range copies {
+			want := edgeSet(c)
+			n := c.NumStates()
+			for i := 0; i < 6; i++ {
+				from, to := r.Intn(n), r.Intn(n)
+				sym := []Symbol{"a", "b", "c", "a'"}[r.Intn(4)]
+				c.AddTransition(from, sym, to)
+				want[fmt.Sprintf("%d %s %d", from, sym, to)] = true
+				from, to = r.Intn(n), r.Intn(n)
+				c.AddEps(from, to)
+				want[fmt.Sprintf("%d ε %d", from, to)] = true
+			}
+			if got := edgeSet(c); !maps.Equal(got, want) {
+				t.Fatalf("trial %d copy %d: edges %v after adding, want %v", trial, ci, got, want)
+			}
+		}
+		if src.String() != before {
+			t.Fatalf("trial %d: source changed from\n%s to\n%s", trial, before, src)
+		}
+	}
+}
+
+// TestUsefulSymbolsMatchTrim: the symbols on edges between useful states
+// are the alphabet of the trimmed automaton.
+func TestUsefulSymbolsMatchTrim(t *testing.T) {
+	r := rand.New(rand.NewSource(62))
+	for trial := 0; trial < 300; trial++ {
+		a := randomNFA(r)
+		trimmed, _ := a.Trim()
+		if got, want := a.UsefulSymbols(), trimmed.Alphabet(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: UsefulSymbols %v, trimmed alphabet %v\n%s", trial, got, want, a)
+		}
 	}
 }

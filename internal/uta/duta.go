@@ -1,7 +1,7 @@
 package uta
 
 import (
-	"encoding/binary"
+	"slices"
 
 	"dxml/internal/strlang"
 	"dxml/internal/xmltree"
@@ -18,34 +18,28 @@ import (
 // {q : Δ(q,a) accepts some q1…qk with qi ∈ Si}.
 type DUTA struct {
 	n      *NUTA
+	syms   []int32 // interned state symbol of each n-state
 	labels []string
 	states []strlang.IntSet
 	byKey  map[string]int
 	prod   map[string]*labelProduct
 }
 
+// labelProduct is the horizontal product of one label's content automata.
+// A product state is one set over the disjoint union of their states: the
+// states of nfas[i] occupy bits base[i] onward.
 type labelProduct struct {
-	qs      []int          // n-states with Δ(q, label), sorted
-	nfas    []*strlang.NFA // ε-free content automata, parallel to qs
-	pstates []prodTuple    // product states (one IntSet per q)
+	qs      []int            // n-states with Δ(q, label), sorted
+	nfas    []*strlang.NFA   // their ε-free content automata, the NUTA's own
+	base    []int32          // first bit of each nfas[i]
+	owner   []int32          // bit → index into nfas
+	finals  strlang.IntSet   // bits of final content states
+	pstates []strlang.IntSet // product states
 	byKey   map[string]int
-	trans   map[[2]int]int // (pstate, dstate) → pstate
-	sig     []int          // pstate → d-state id of accept signature
+	trans   [][]int32 // trans[p][d]: 1 + the pstate p steps to by d-state d; 0 unknown
+	ntrans  int       // known entries of trans
+	sig     []int     // pstate → d-state id of accept signature
 	start   int
-}
-
-type prodTuple []strlang.IntSet
-
-func (t prodTuple) key() string {
-	// Bitset keys are raw bytes, so a separator could collide with data;
-	// length-prefix each part instead.
-	var b []byte
-	for _, s := range t {
-		k := s.Key()
-		b = binary.AppendUvarint(b, uint64(len(k)))
-		b = append(b, k...)
-	}
-	return string(b)
 }
 
 // Determinize returns the DUTA of a over the given label alphabet, which
@@ -63,9 +57,10 @@ func Determinize(a *NUTA, labels []string) *DUTA {
 	for l := range all {
 		sorted = append(sorted, l)
 	}
-	sortStrings(sorted)
+	slices.Sort(sorted)
 	d := &DUTA{
 		n:      a,
+		syms:   a.symIDs(),
 		labels: sorted,
 		byKey:  map[string]int{},
 		prod:   map[string]*labelProduct{},
@@ -108,33 +103,41 @@ func (d *DUTA) product(label string) *labelProduct {
 	if lp, ok := d.prod[label]; ok {
 		return lp
 	}
-	lp := &labelProduct{byKey: map[string]int{}, trans: map[[2]int]int{}}
+	lp := &labelProduct{byKey: map[string]int{}, finals: strlang.NewIntSet()}
 	lp.qs = d.n.statesFor(label)
-	for _, q := range lp.qs {
-		lp.nfas = append(lp.nfas, d.n.Delta(q, label).WithoutEps())
+	start := strlang.NewIntSet()
+	for i, q := range lp.qs {
+		nfa := d.n.Delta(q, label)
+		base := int32(len(lp.owner))
+		lp.nfas = append(lp.nfas, nfa)
+		lp.base = append(lp.base, base)
+		for x := 0; x < nfa.NumStates(); x++ {
+			lp.owner = append(lp.owner, int32(i))
+		}
+		for x := range nfa.Finals().All() {
+			lp.finals.Add(int(base) + x)
+		}
+		start.Add(int(base) + nfa.Start())
 	}
-	startTuple := make(prodTuple, len(lp.qs))
-	for i, nfa := range lp.nfas {
-		startTuple[i] = nfa.Closure(strlang.NewIntSet(nfa.Start()))
-	}
-	lp.start = d.addPState(lp, startTuple)
+	lp.start = d.addPState(lp, start)
 	d.prod[label] = lp
 	return lp
 }
 
-func (d *DUTA) addPState(lp *labelProduct, t prodTuple) int {
-	k := t.key()
+func (d *DUTA) addPState(lp *labelProduct, t strlang.IntSet) int {
+	k := t.Key()
 	if id, ok := lp.byKey[k]; ok {
 		return id
 	}
 	id := len(lp.pstates)
 	lp.pstates = append(lp.pstates, t)
+	lp.trans = append(lp.trans, nil)
 	lp.byKey[k] = id
 	// Accept signature: the d-state of stopping here.
 	sig := strlang.NewIntSet()
-	for i, nfa := range lp.nfas {
-		if t[i].Intersects(nfa.Finals()) {
-			sig.Add(lp.qs[i])
+	for x := range t.All() {
+		if lp.finals.Has(x) {
+			sig.Add(lp.qs[lp.owner[x]])
 		}
 	}
 	lp.sig = append(lp.sig, d.intern(sig))
@@ -143,21 +146,28 @@ func (d *DUTA) addPState(lp *labelProduct, t prodTuple) int {
 
 // step advances product state p of label by a child d-state, memoized.
 func (d *DUTA) step(lp *labelProduct, p int, dstate int) int {
-	if t, ok := lp.trans[[2]int{p, dstate}]; ok {
-		return t
+	if row := lp.trans[p]; dstate < len(row) && row[dstate] > 0 {
+		return int(row[dstate]) - 1
 	}
-	cur := lp.pstates[p]
 	childSet := d.states[dstate]
-	next := make(prodTuple, len(lp.qs))
-	for i, nfa := range lp.nfas {
-		acc := strlang.NewIntSet()
+	next := strlang.NewIntSet()
+	for x := range lp.pstates[p].All() {
+		i := lp.owner[x]
+		nfa, base := lp.nfas[i], lp.base[i]
 		for q := range childSet.All() {
-			acc.AddAll(nfa.StepID(cur[i], stateSymID(q)))
+			for _, t := range nfa.SuccID(x-int(base), d.syms[q]) {
+				next.Add(int(base + t))
+			}
 		}
-		next[i] = acc
 	}
 	t := d.addPState(lp, next)
-	lp.trans[[2]int{p, dstate}] = t
+	row := lp.trans[p]
+	if dstate >= len(row) {
+		row = append(row, make([]int32, dstate+1-len(row))...)
+		lp.trans[p] = row
+	}
+	row[dstate] = int32(t) + 1
+	lp.ntrans++
 	return t
 }
 
@@ -188,7 +198,7 @@ func (d *DUTA) Explore() {
 			lp := d.prod[l]
 			for p := 0; p < len(lp.pstates); p++ {
 				for id := 0; id < len(d.states); id++ {
-					if _, ok := lp.trans[[2]int{p, id}]; ok {
+					if row := lp.trans[p]; id < len(row) && row[id] > 0 {
 						continue
 					}
 					before := len(d.states)
@@ -209,7 +219,7 @@ func (d *DUTA) Explore() {
 		done := true
 		for _, l := range d.labels {
 			lp := d.prod[l]
-			if len(lp.trans) < len(lp.pstates)*len(d.states) {
+			if lp.ntrans < len(lp.pstates)*len(d.states) {
 				done = false
 				break
 			}
@@ -232,8 +242,12 @@ func (d *DUTA) ContentDFA(label string, want int) *strlang.DFA {
 		dfa.AddState(lp.sig[p] == want)
 	}
 	dfa.SetStart(lp.start)
-	for key, t := range lp.trans {
-		dfa.SetTransition(key[0], StateSym(key[1]), t)
+	for p, row := range lp.trans {
+		for id, t := range row {
+			if t > 0 {
+				dfa.SetTransition(p, StateSym(id), int(t)-1)
+			}
+		}
 	}
 	return dfa
 }

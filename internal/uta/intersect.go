@@ -36,10 +36,9 @@ func Intersect(a, b *NUTA) *NUTA {
 }
 
 // productWordNFA builds the word automaton accepting sequences of pair
-// symbols whose projections are accepted by ca (first components) and cb
-// (second components) respectively.
+// symbols whose projections are accepted by the ε-free ca (first
+// components) and cb (second components) respectively.
 func productWordNFA(ca, cb *strlang.NFA, nb int, pairID func(int, int) int) *strlang.NFA {
-	ea, eb := ca.WithoutEps(), cb.WithoutEps()
 	out := strlang.NewNFA()
 	type node struct{ x, y int }
 	ids := map[node]int{}
@@ -56,30 +55,24 @@ func productWordNFA(ca, cb *strlang.NFA, nb int, pairID func(int, int) int) *str
 		}
 		ids[n] = id
 		order = append(order, n)
-		if ea.IsFinal(n.x) && eb.IsFinal(n.y) {
+		if ca.IsFinal(n.x) && cb.IsFinal(n.y) {
 			out.MarkFinal(id)
 		}
 		return id
 	}
-	get(node{ea.Start(), eb.Start()})
+	get(node{ca.Start(), cb.Start()})
 	for i := 0; i < len(order); i++ {
 		n := order[i]
 		from := ids[n]
-		for _, sidA := range ea.AlphabetIDs() {
-			tsA := ea.SuccID(n.x, sidA)
-			if len(tsA) == 0 {
-				continue
-			}
+		symsA, tssA := ca.Edges(n.x)
+		symsB, tssB := cb.Edges(n.y)
+		for ia, sidA := range symsA {
 			p := SymState(strlang.SymbolName(sidA))
-			for _, sidB := range eb.AlphabetIDs() {
-				tsB := eb.SuccID(n.y, sidB)
-				if len(tsB) == 0 {
-					continue
-				}
+			for ib, sidB := range symsB {
 				q := SymState(strlang.SymbolName(sidB))
 				sym := stateSymID(pairID(p, q))
-				for _, ta := range tsA {
-					for _, tb := range tsB {
+				for _, ta := range tssA[ia] {
+					for _, tb := range tssB[ib] {
 						out.AddTransitionID(from, sym, get(node{int(ta), int(tb)}))
 					}
 				}

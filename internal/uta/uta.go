@@ -7,6 +7,7 @@ package uta
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -57,11 +58,16 @@ func SymState(s strlang.Symbol) int {
 // is accepted if some state assignment µ exists with µ(root) ∈ F and, for
 // every node x, µ(children(x)) ∈ [Δ(µ(x), lab(x))] (with the empty word for
 // leaves).
+//
+// SetDelta keeps each content automaton in ε-free form, built once, so
+// membership, inclusion and determinization read the same copies and
+// never rebuild them. Once built, a NUTA is only read: decisions on it may
+// run from several goroutines at once.
 type NUTA struct {
 	numStates int
 	finals    strlang.IntSet
-	delta     map[deltaKey]*strlang.NFA
-	labels    map[string]struct{}
+	delta     map[deltaKey]*strlang.NFA // ε-free
+	byLabel   map[string][]int          // states q with Δ(q, label), ascending
 }
 
 type deltaKey struct {
@@ -75,7 +81,7 @@ func NewNUTA(n int) *NUTA {
 		numStates: n,
 		finals:    strlang.NewIntSet(),
 		delta:     map[deltaKey]*strlang.NFA{},
-		labels:    map[string]struct{}{},
+		byLabel:   map[string][]int{},
 	}
 }
 
@@ -94,53 +100,46 @@ func (a *NUTA) MarkFinal(q int) { a.finals.Add(q) }
 // Finals returns the final states (shared).
 func (a *NUTA) Finals() strlang.IntSet { return a.finals }
 
-// SetDelta sets Δ(q, label) to the given word automaton over state symbols.
+// SetDelta sets Δ(q, label) to the language of the given word automaton
+// over state symbols. The automaton keeps content's ε-free form, built
+// here once; content itself is not retained.
 func (a *NUTA) SetDelta(q int, label string, content *strlang.NFA) {
-	a.delta[deltaKey{q, label}] = content
-	a.labels[label] = struct{}{}
+	k := deltaKey{q, label}
+	if _, ok := a.delta[k]; !ok {
+		qs := a.byLabel[label]
+		i, _ := slices.BinarySearch(qs, q)
+		a.byLabel[label] = slices.Insert(qs, i, q)
+	}
+	a.delta[k] = content.WithoutEps()
 }
 
-// Delta returns Δ(q, label), or nil when undefined (empty content
-// language).
+// Delta returns Δ(q, label) in its ε-free form (shared; do not mutate), or
+// nil when undefined (empty content language).
 func (a *NUTA) Delta(q int, label string) *strlang.NFA {
 	return a.delta[deltaKey{q, label}]
 }
 
 // Labels returns the sorted label alphabet of the automaton.
 func (a *NUTA) Labels() []string {
-	out := make([]string, 0, len(a.labels))
-	for l := range a.labels {
+	out := make([]string, 0, len(a.byLabel))
+	for l := range a.byLabel {
 		out = append(out, l)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
+// statesFor returns the states q with Δ(q, label) defined, sorted (shared;
+// do not mutate).
+func (a *NUTA) statesFor(label string) []int { return a.byLabel[label] }
 
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// symIDs returns the interned state symbol of every state of a.
+func (a *NUTA) symIDs() []int32 {
+	ids := make([]int32, a.numStates)
+	for q := range ids {
+		ids[q] = stateSymID(q)
 	}
-}
-
-// statesFor returns the states q with Δ(q, label) defined, sorted.
-func (a *NUTA) statesFor(label string) []int {
-	var out []int
-	for q := 0; q < a.numStates; q++ {
-		if a.Delta(q, label) != nil {
-			out = append(out, q)
-		}
-	}
-	return out
+	return ids
 }
 
 // PossibleStates returns the set of states the automaton may assign to the
@@ -160,14 +159,14 @@ func (a *NUTA) PossibleStates(t *xmltree.Tree) strlang.IntSet {
 	return out
 }
 
-// acceptsSomeSequence reports whether nfa accepts some word w1…wk with
-// wi ∈ {StateSym(q) : q ∈ sets[i]}.
+// acceptsSomeSequence reports whether the ε-free nfa accepts some word
+// w1…wk with wi ∈ {StateSym(q) : q ∈ sets[i]}.
 func acceptsSomeSequence(nfa *strlang.NFA, sets []strlang.IntSet) bool {
-	cur := nfa.Closure(strlang.NewIntSet(nfa.Start()))
+	cur := strlang.NewIntSet(nfa.Start())
 	for _, set := range sets {
 		next := strlang.NewIntSet()
 		for q := range set.All() {
-			next.AddAll(nfa.StepID(cur, stateSymID(q)))
+			nfa.MoveInto(next, cur, stateSymID(q))
 		}
 		cur = next
 		if cur.Len() == 0 {
@@ -203,30 +202,22 @@ func (a *NUTA) ReachableStates() strlang.IntSet {
 	}
 }
 
-// acceptsSomeWordOver reports whether nfa accepts some word all of whose
-// symbols are state symbols of allowed.
+// acceptsSomeWordOver reports whether the ε-free nfa accepts some word all
+// of whose symbols are state symbols of allowed.
 func acceptsSomeWordOver(nfa *strlang.NFA, allowed strlang.IntSet) bool {
-	cur := nfa.Closure(strlang.NewIntSet(nfa.Start()))
-	seen := cur.Copy()
+	seen := strlang.NewIntSet(nfa.Start())
 	for {
-		if cur.Intersects(nfa.Finals()) {
+		if seen.Intersects(nfa.Finals()) {
 			return true
 		}
-		next := strlang.NewIntSet()
+		next := seen.Copy()
 		for q := range allowed.All() {
-			next.AddAll(nfa.StepID(cur, stateSymID(q)))
+			nfa.MoveInto(next, seen, stateSymID(q))
 		}
-		grew := false
-		for s := range next.All() {
-			if !seen.Has(s) {
-				seen.Add(s)
-				grew = true
-			}
-		}
-		if !grew {
+		if next.Len() == seen.Len() {
 			return false
 		}
-		cur = seen.Copy()
+		seen = next
 	}
 }
 
@@ -237,18 +228,22 @@ func (a *NUTA) IsEmpty() bool {
 
 // SomeTree returns a smallest-effort witness tree in [a], or nil if the
 // language is empty. It materializes, for each nonempty state, one tree
-// assigned that state.
+// assigned that state, visiting labels and states in sorted order so the
+// result does not depend on map order.
 func (a *NUTA) SomeTree() *xmltree.Tree {
+	labels := a.Labels()
 	witness := map[int]*xmltree.Tree{}
 	for {
 		changed := false
-		for key, nfa := range a.delta {
-			if _, done := witness[key.state]; done {
-				continue
-			}
-			if seq, ok := someSequence(nfa, witness); ok {
-				witness[key.state] = xmltree.New(key.label, seq...)
-				changed = true
+		for _, label := range labels {
+			for _, q := range a.byLabel[label] {
+				if _, done := witness[q]; done {
+					continue
+				}
+				if seq, ok := someSequence(a.Delta(q, label), witness); ok {
+					witness[q] = xmltree.New(label, seq...)
+					changed = true
+				}
 			}
 		}
 		if !changed {
@@ -263,10 +258,10 @@ func (a *NUTA) SomeTree() *xmltree.Tree {
 	return nil
 }
 
-// someSequence finds an accepted word of nfa over the state symbols having
-// witnesses, returning the corresponding child trees.
+// someSequence finds an accepted word of the ε-free nfa over the state
+// symbols having witnesses, returning the corresponding child trees.
 func someSequence(nfa *strlang.NFA, witness map[int]*xmltree.Tree) ([]*xmltree.Tree, bool) {
-	start := nfa.Closure(strlang.NewIntSet(nfa.Start()))
+	start := strlang.NewIntSet(nfa.Start())
 	if start.Intersects(nfa.Finals()) {
 		return nil, true
 	}
@@ -274,7 +269,7 @@ func someSequence(nfa *strlang.NFA, witness map[int]*xmltree.Tree) ([]*xmltree.T
 	for q := range witness {
 		states = append(states, q)
 	}
-	sortInts(states)
+	slices.Sort(states)
 	// BFS over subset states, remembering the chosen symbol path.
 	type entry struct {
 		set  strlang.IntSet
@@ -286,7 +281,8 @@ func someSequence(nfa *strlang.NFA, witness map[int]*xmltree.Tree) ([]*xmltree.T
 		e := queue[0]
 		queue = queue[1:]
 		for _, q := range states {
-			next := nfa.StepID(e.set, stateSymID(q))
+			next := strlang.NewIntSet()
+			nfa.MoveInto(next, e.set, stateSymID(q))
 			if next.Len() == 0 || seen[next.Key()] {
 				continue
 			}
