@@ -252,6 +252,19 @@ func parseTreeType(df *DesignFile) (*dxml.DTD, *dxml.EDTD, error) {
 	return nil, nil, fmt.Errorf("unknown class %q", df.Class)
 }
 
+// nodeDesign is what DTD and SDTD designs share: both reduce to one
+// string design per kernel node.
+type nodeDesign interface {
+	ExistsLocal() (dxml.Typing, bool)
+	ExistsPerfect() (dxml.Typing, bool)
+	ExistsMaximalLocal() (dxml.Typing, bool)
+	MaximalLocalWordTypings() []dxml.WordTyping
+	TypingFromWords(dxml.WordTyping) dxml.Typing
+	IsLocal(dxml.Typing) (bool, error)
+	IsMaximalLocal(dxml.Typing) (bool, error)
+	IsPerfect(dxml.Typing) (bool, error)
+}
+
 func runTree(df *DesignFile, problem string) (string, error) {
 	dtd, edtd, err := parseTreeType(df)
 	if err != nil {
@@ -264,72 +277,20 @@ func runTree(df *DesignFile, problem string) (string, error) {
 		}
 		return what + " typing exists:\n" + formatTyping(funcs, t)
 	}
-	verifyTyping := func() (dxml.Typing, error) { return df.typing() }
+	// verify decides loc, ml or perf on the design file's typing.
+	verify := func(check func(dxml.Typing) (bool, error)) (string, error) {
+		typing, err := df.typing()
+		if err != nil {
+			return "", err
+		}
+		ok, err := check(typing)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%s: %v\n", problem, ok), nil
+	}
 
-	switch df.Class {
-	case "dtd":
-		d := &dxml.DTDDesign{Type: dtd, Kernel: df.Kernel, AllowTrivialTypes: df.AllowTrivial}
-		switch problem {
-		case "exists-local":
-			t, ok := d.ExistsLocal()
-			return existsOut(t, ok, "local"), nil
-		case "exists-ml":
-			t, ok := d.ExistsMaximalLocal()
-			return existsOut(t, ok, "maximal local"), nil
-		case "exists-perfect":
-			t, ok := d.ExistsPerfect()
-			return existsOut(t, ok, "perfect"), nil
-		case "loc", "ml", "perf":
-			typing, err := verifyTyping()
-			if err != nil {
-				return "", err
-			}
-			var ok bool
-			switch problem {
-			case "loc":
-				ok, err = d.IsLocal(typing)
-			case "ml":
-				ok, err = d.IsMaximalLocal(typing)
-			default:
-				ok, err = d.IsPerfect(typing)
-			}
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%s: %v\n", problem, ok), nil
-		}
-	case "sdtd":
-		d := &dxml.SDTDDesign{Type: edtd, Kernel: df.Kernel, AllowTrivialTypes: df.AllowTrivial}
-		switch problem {
-		case "exists-local":
-			t, ok := d.ExistsLocal()
-			return existsOut(t, ok, "local"), nil
-		case "exists-ml":
-			t, ok := d.ExistsMaximalLocal()
-			return existsOut(t, ok, "maximal local"), nil
-		case "exists-perfect":
-			t, ok := d.ExistsPerfect()
-			return existsOut(t, ok, "perfect"), nil
-		case "loc", "ml", "perf":
-			typing, err := verifyTyping()
-			if err != nil {
-				return "", err
-			}
-			var ok bool
-			switch problem {
-			case "loc":
-				ok, err = d.IsLocal(typing)
-			case "ml":
-				ok, err = d.IsMaximalLocal(typing)
-			default:
-				ok, err = d.IsPerfect(typing)
-			}
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%s: %v\n", problem, ok), nil
-		}
-	case "edtd":
+	if df.Class == "edtd" {
 		d := &dxml.EDTDDesign{Type: edtd, Kernel: df.Kernel, AllowTrivialTypes: df.AllowTrivial}
 		switch problem {
 		case "exists-local":
@@ -359,25 +320,36 @@ func runTree(df *DesignFile, problem string) (string, error) {
 				return "", err
 			}
 			return existsOut(t, ok, "perfect"), nil
-		case "loc", "ml", "perf":
-			typing, err := verifyTyping()
-			if err != nil {
-				return "", err
-			}
-			var ok bool
-			switch problem {
-			case "loc":
-				ok, err = d.IsLocal(typing)
-			case "ml":
-				ok, err = d.IsMaximalLocal(typing)
-			default:
-				ok, err = d.IsPerfect(typing)
-			}
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%s: %v\n", problem, ok), nil
+		case "loc":
+			return verify(d.IsLocal)
+		case "ml":
+			return verify(d.IsMaximalLocal)
+		case "perf":
+			return verify(d.IsPerfect)
 		}
+		return "", fmt.Errorf("unknown problem %q for class %s", problem, df.Class)
+	}
+
+	var d nodeDesign = &dxml.DTDDesign{Type: dtd, Kernel: df.Kernel, AllowTrivialTypes: df.AllowTrivial}
+	if df.Class == "sdtd" {
+		d = &dxml.SDTDDesign{Type: edtd, Kernel: df.Kernel, AllowTrivialTypes: df.AllowTrivial}
+	}
+	switch problem {
+	case "exists-local":
+		t, ok := d.ExistsLocal()
+		return existsOut(t, ok, "local"), nil
+	case "exists-ml":
+		t, ok := d.ExistsMaximalLocal()
+		return existsOut(t, ok, "maximal local"), nil
+	case "exists-perfect":
+		t, ok := d.ExistsPerfect()
+		return existsOut(t, ok, "perfect"), nil
+	case "loc":
+		return verify(d.IsLocal)
+	case "ml":
+		return verify(d.IsMaximalLocal)
+	case "perf":
+		return verify(d.IsPerfect)
 	}
 	return "", fmt.Errorf("unknown problem %q for class %s", problem, df.Class)
 }

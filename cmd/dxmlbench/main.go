@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -22,7 +23,7 @@ import (
 // them.
 var experiments = []struct {
 	name string
-	run  func()
+	run  func(io.Writer)
 }{
 	{"table1", table1},
 	{"table2", table2},
@@ -41,10 +42,10 @@ func main() {
 		switch *exp {
 		case "all":
 			fmt.Printf("######## %s ########\n", e.name)
-			e.run()
+			e.run(os.Stdout)
 			fmt.Println()
 		case e.name:
-			e.run()
+			e.run(os.Stdout)
 			return
 		}
 	}
@@ -57,13 +58,13 @@ func main() {
 // table1 exhibits the expressiveness hierarchy of the schema abstractions
 // (paper Table 1): dRE-DTDs ⊊ local tree languages = R-DTDs ⊊ single-type
 // ⊊ regular.
-func table1() {
-	fmt.Println("Table 1 — expressiveness separations (machine-checked witnesses)")
+func table1(w io.Writer) {
+	fmt.Fprintln(w, "Table 1 — expressiveness separations (machine-checked witnesses)")
 
 	// (1) dRE-DTD < nRE-DTD: a local tree language whose content model is
 	// not one-unambiguous.
 	lang := dxml.RegexNFA(dxml.MustParseRegex("(a|b)* a (a|b)"))
-	fmt.Printf("  content (a|b)*a(a|b): one-unambiguous=%v → expressible as nRE-DTD but NOT dRE-DTD\n",
+	fmt.Fprintf(w, "  content (a|b)*a(a|b): one-unambiguous=%v → expressible as nRE-DTD but NOT dRE-DTD\n",
 		dxml.OneUnambiguous(lang))
 
 	// (2) DTD < SDTD: context-dependent content (x under a vs under b).
@@ -82,7 +83,7 @@ func table1() {
 	)
 	dres, _ := dxml.ConsDTD(k, typing, dxml.KindNFA)
 	sres, _ := dxml.ConsSDTD(k, typing, dxml.KindNFA)
-	fmt.Printf("  context-dependent x-content: cons[SDTD]=%v, cons[DTD]=%v → SDTDs ⊋ DTDs\n",
+	fmt.Fprintf(w, "  context-dependent x-content: cons[SDTD]=%v, cons[DTD]=%v → SDTDs ⊋ DTDs\n",
 		sres.Consistent, dres.Consistent)
 	_ = sdtd
 
@@ -93,16 +94,16 @@ func table1() {
 		dxml.MustParseDTD(dxml.KindNRE, "root s2\ns2 -> c"),
 	)
 	sres2, _ := dxml.ConsSDTD(k2, typing2, dxml.KindNFA)
-	fmt.Printf("  position-dependent a-content: cons[EDTD]=true (always), cons[SDTD]=%v → EDTDs ⊋ SDTDs\n",
+	fmt.Fprintf(w, "  position-dependent a-content: cons[EDTD]=true (always), cons[SDTD]=%v → EDTDs ⊋ SDTDs\n",
 		sres2.Consistent)
 }
 
 // table2 measures cons[S] outcomes and typeT(τn) sizes across the R×S
 // grid on size families — reproducing the Θ(m), Θ(m²), Θ(2^m) size rows.
-func table2() {
-	fmt.Println("Table 2 — cons[S] and worst-case |typeT(τn)| vs m (input size)")
-	fmt.Println("family: [τ1]=(a|b)*a, [τ2]=(a|b)^m over T=s0(f1 f2)  (dFA concat blow-up)")
-	fmt.Printf("  %-4s %10s %10s %10s %14s\n", "m", "|input|", "nFA", "dFA", "dFA/2^m")
+func table2(w io.Writer) {
+	fmt.Fprintln(w, "Table 2 — cons[S] and worst-case |typeT(τn)| vs m (input size)")
+	fmt.Fprintln(w, "family: [τ1]=(a|b)*a, [τ2]=(a|b)^m over T=s0(f1 f2)  (dFA concat blow-up)")
+	fmt.Fprintf(w, "  %-4s %10s %10s %10s %14s\n", "m", "|input|", "nFA", "dFA", "dFA/2^m")
 	for m := 2; m <= 9; m++ {
 		re2 := strings.TrimSuffix(strings.Repeat("(a|b) ", m), " ")
 		k := dxml.MustParseKernel("s0(f1 f2)")
@@ -117,16 +118,16 @@ func table2() {
 		must(err)
 		nSize := nres.DTD.Size()
 		dSize := dres.DTD.Size()
-		fmt.Printf("  %-4d %10d %10d %10d %14.2f\n", m, inSize, nSize, dSize,
+		fmt.Fprintf(w, "  %-4d %10d %10d %10d %14.2f\n", m, inSize, nSize, dSize,
 			float64(dSize)/float64(int(1)<<m))
 	}
-	fmt.Println("  → nFA column grows linearly (Θ(m)); dFA column doubles per step (Θ(2^m))")
+	fmt.Fprintln(w, "  → nFA column grows linearly (Θ(m)); dFA column doubles per step (Θ(2^m))")
 
-	fmt.Println("\nfamily: dRE typing (b*, d*) over T=s0(a f1 c f2) scaled by alphabet width")
-	fmt.Printf("  %-4s %10s %12s %12s\n", "w", "|input|", "consistent", "|typeT| dRE")
-	for w := 1; w <= 5; w++ {
+	fmt.Fprintln(w, "\nfamily: dRE typing (b*, d*) over T=s0(a f1 c f2) scaled by alphabet width")
+	fmt.Fprintf(w, "  %-4s %10s %12s %12s\n", "w", "|input|", "consistent", "|typeT| dRE")
+	for width := 1; width <= 5; width++ {
 		var syms []string
-		for i := 0; i < w; i++ {
+		for i := 0; i < width; i++ {
 			syms = append(syms, fmt.Sprintf("b%d", i))
 		}
 		re := "(" + strings.Join(syms, " | ") + ")*"
@@ -141,11 +142,11 @@ func table2() {
 		if res.Consistent {
 			size = res.DTD.Size()
 		}
-		fmt.Printf("  %-4d %10d %12v %12d\n", w, ty[0].Size()+ty[1].Size(), res.Consistent, size)
+		fmt.Fprintf(w, "  %-4d %10d %12v %12d\n", width, ty[0].Size()+ty[1].Size(), res.Consistent, size)
 	}
-	fmt.Println("  → the dRE rows stay linear when contents do not interleave (Cor. 3.3 shape)")
+	fmt.Fprintln(w, "  → the dRE rows stay linear when contents do not interleave (Cor. 3.3 shape)")
 
-	fmt.Println("\nEDTD column: cons[R-EDTD] is constant-time 'yes' (Cor. 3.3); dFA-EDTD typeT is ≤ quadratic:")
+	fmt.Fprintln(w, "\nEDTD column: cons[R-EDTD] is constant-time 'yes' (Cor. 3.3); dFA-EDTD typeT is ≤ quadratic:")
 	for m := 2; m <= 6; m++ {
 		re2 := strings.TrimSuffix(strings.Repeat("(a|b) ", m), " ")
 		k := dxml.MustParseKernel("s0(f1 f2)")
@@ -155,18 +156,18 @@ func table2() {
 		)
 		e, err := dxml.ConsEDTD(k, ty, dxml.KindDFA)
 		must(err)
-		fmt.Printf("  m=%d: |typeT| as dFA-EDTD = %d\n", m, e.Size())
+		fmt.Fprintf(w, "  m=%d: |typeT| as dFA-EDTD = %d\n", m, e.Size())
 	}
-	fmt.Println("  → the EDTD representation avoids the DTD/SDTD dFA blow-up (per-name contents never concatenate)")
+	fmt.Fprintln(w, "  → the EDTD representation avoids the DTD/SDTD dFA blow-up (per-name contents never concatenate)")
 }
 
 // table3 times the top-down decision problems across schema classes,
 // reproducing the complexity table's shape: the EDTD column explodes
 // relative to the word/DTD/SDTD column, and the ∃-problems dominate the
 // verification problems.
-func table3() {
-	fmt.Println("Table 3 — top-down problems: time vs instance size")
-	fmt.Println("(absolute times are ours; the paper's content is the complexity shape)")
+func table3(w io.Writer) {
+	fmt.Fprintln(w, "Table 3 — top-down problems: time vs instance size")
+	fmt.Fprintln(w, "(absolute times are ours; the paper's content is the complexity shape)")
 
 	// Each procedure is timed on a fresh design: a design derives its
 	// automata, cells and sound tuples once and reuses them, so a second
@@ -177,8 +178,8 @@ func table3() {
 		return time.Since(start)
 	}
 
-	fmt.Println("\nwords (nFA column), τ = (a b)+ scaled by repetition, w = f1 f2:")
-	fmt.Printf("  %-4s %12s %12s %12s %12s %12s\n", "k", "loc", "ml", "perf", "∃-perf", "∃-ml")
+	fmt.Fprintln(w, "\nwords (nFA column), τ = (a b)+ scaled by repetition, w = f1 f2:")
+	fmt.Fprintf(w, "  %-4s %12s %12s %12s %12s %12s\n", "k", "loc", "ml", "perf", "∃-perf", "∃-ml")
 	for k := 1; k <= 3; k++ {
 		target := strings.TrimSuffix(strings.Repeat("(a b)+ ", k), " ")
 		fresh := func() *dxml.WordDesign { return dxml.MustWordDesign(target, "f1 f2") }
@@ -196,11 +197,11 @@ func table3() {
 		tEPerf := timeIt(func() { _, _ = d.PerfectTyping() })
 		d = fresh()
 		tEMl := timeIt(func() { d.MaximalLocalTypings() })
-		fmt.Printf("  %-4d %12s %12s %12s %12s %12s\n", k, tLoc, tMl, tPerf, tEPerf, tEMl)
+		fmt.Fprintf(w, "  %-4d %12s %12s %12s %12s %12s\n", k, tLoc, tMl, tPerf, tEPerf, tEMl)
 	}
 
-	fmt.Println("\ntrees: DTD/SDTD (per-node word problems) vs EDTD (normalize + κ):")
-	fmt.Printf("  %-10s %14s %14s\n", "class", "∃-perfect", "∃-ml")
+	fmt.Fprintln(w, "\ntrees: DTD/SDTD (per-node word problems) vs EDTD (normalize + κ):")
+	fmt.Fprintf(w, "  %-10s %14s %14s\n", "class", "∃-perfect", "∃-ml")
 	dtdType := dxml.MustParseDTD(dxml.KindNRE, `
 		root eurostat
 		eurostat -> averages, nationalIndex*
@@ -211,7 +212,7 @@ func table3() {
 	dtdDesign := func() *dxml.DTDDesign { return &dxml.DTDDesign{Type: dtdType, Kernel: dtdKernel} }
 	tP := timeIt(func() { dtdDesign().ExistsPerfect() })
 	tM := timeIt(func() { dtdDesign().ExistsMaximalLocal() })
-	fmt.Printf("  %-10s %14s %14s\n", "DTD", tP, tM)
+	fmt.Fprintf(w, "  %-10s %14s %14s\n", "DTD", tP, tM)
 
 	sdtdType := dxml.MustParseEDTD(dxml.KindNRE, `
 		root s
@@ -223,7 +224,7 @@ func table3() {
 	sdtdDesign := func() *dxml.SDTDDesign { return &dxml.SDTDDesign{Type: sdtdType, Kernel: sdtdKernel} }
 	tP = timeIt(func() { sdtdDesign().ExistsPerfect() })
 	tM = timeIt(func() { sdtdDesign().ExistsMaximalLocal() })
-	fmt.Printf("  %-10s %14s %14s\n", "SDTD", tP, tM)
+	fmt.Fprintf(w, "  %-10s %14s %14s\n", "SDTD", tP, tM)
 
 	edtdType := dxml.MustParseEDTD(dxml.KindNRE, `
 		root eurostat
@@ -236,10 +237,10 @@ func table3() {
 	edtdDesign := func() *dxml.EDTDDesign { return &dxml.EDTDDesign{Type: edtdType, Kernel: edtdKernel} }
 	tP = timeIt(func() { _, _, _ = edtdDesign().ExistsPerfect() })
 	tM = timeIt(func() { _, _ = edtdDesign().MaximalLocalTypings() })
-	fmt.Printf("  %-10s %14s %14s\n", "EDTD(τ″)", tP, tM)
+	fmt.Fprintf(w, "  %-10s %14s %14s\n", "EDTD(τ″)", tP, tM)
 
-	fmt.Println("\nEDTD κ-route blow-up: ∃-ml time vs number s of same-element specializations")
-	fmt.Printf("  %-4s %8s %14s\n", "s", "κ space", "∃-ml time")
+	fmt.Fprintln(w, "\nEDTD κ-route blow-up: ∃-ml time vs number s of same-element specializations")
+	fmt.Fprintf(w, "  %-4s %8s %14s\n", "s", "κ space", "∃-ml time")
 	for s := 1; s <= 4; s++ {
 		var grammar strings.Builder
 		grammar.WriteString("root s0\ns0 -> ")
@@ -256,14 +257,14 @@ func table3() {
 		e := dxml.MustParseEDTD(dxml.KindNRE, grammar.String())
 		design := &dxml.EDTDDesign{Type: e, Kernel: dxml.MustParseKernel("s0(x(f1))")}
 		dur := timeIt(func() { _, _ = design.MaximalLocalTypings() })
-		fmt.Printf("  %-4d %8d %14s\n", s, (1<<s)-1, dur)
+		fmt.Fprintf(w, "  %-4d %8d %14s\n", s, (1<<s)-1, dur)
 	}
-	fmt.Println("  → the κ space (nonempty subsets of Σ̃(x)) doubles per specialization —")
-	fmt.Println("    the NP^C oracle structure of Cor. 4.14; DTD/SDTD rows have no such factor")
+	fmt.Fprintln(w, "  → the κ space (nonempty subsets of Σ̃(x)) doubles per specialization —")
+	fmt.Fprintln(w, "    the NP^C oracle structure of Cor. 4.14; DTD/SDTD rows have no such factor")
 }
 
-func fig4() {
-	fmt.Println("Figure 4 — perfect typing of ⟨τ, T0⟩ (see examples/eurostat for the full tour)")
+func fig4(w io.Writer) {
+	fmt.Fprintln(w, "Figure 4 — perfect typing of ⟨τ, T0⟩ (see examples/eurostat for the full tour)")
 	tau := dxml.MustParseDTD(dxml.KindNRE, `
 		root eurostat
 		eurostat -> averages, nationalIndex*
@@ -272,16 +273,16 @@ func fig4() {
 		index -> value, year`)
 	design := &dxml.DTDDesign{Type: tau, Kernel: dxml.MustParseKernel("eurostat(f0 f1 f2 f3)")}
 	typing, ok := design.ExistsPerfect()
-	fmt.Printf("  perfect typing exists: %v\n", ok)
+	fmt.Fprintf(w, "  perfect typing exists: %v\n", ok)
 	if ok {
 		for i, t := range typing {
-			fmt.Printf("  f%d: %s -> %s\n", i, t.Starts[0], dxml.DisplayRegex(dxml.RootContent(t)))
+			fmt.Fprintf(w, "  f%d: %s -> %s\n", i, t.Starts[0], dxml.DisplayRegex(dxml.RootContent(t)))
 		}
 	}
 }
 
-func fig5() {
-	fmt.Println("Figure 5 — τ′ admits no local typing")
+func fig5(w io.Writer) {
+	fmt.Fprintln(w, "Figure 5 — τ′ admits no local typing")
 	tauPrime := dxml.MustParseDTD(dxml.KindNRE, `
 		root eurostat
 		eurostat -> averages, (natIndA* | natIndB*)
@@ -291,11 +292,11 @@ func fig5() {
 		index -> value, year`)
 	design := &dxml.DTDDesign{Type: tauPrime, Kernel: dxml.MustParseKernel("eurostat(f0 f1 f2 f3)")}
 	_, ok := design.ExistsLocal()
-	fmt.Printf("  ∃-loc[⟨τ′, T0⟩] = %v (paper: no local typing)\n", ok)
+	fmt.Fprintf(w, "  ∃-loc[⟨τ′, T0⟩] = %v (paper: no local typing)\n", ok)
 }
 
-func fig6() {
-	fmt.Println("Figure 6 — τ″ over T1: no perfect, exactly two maximal local typings")
+func fig6(w io.Writer) {
+	fmt.Fprintln(w, "Figure 6 — τ″ over T1: no perfect, exactly two maximal local typings")
 	tau := dxml.MustParseEDTD(dxml.KindNRE, `
 		root eurostat
 		eurostat -> averages, (natIndA, natIndB)+
@@ -306,23 +307,23 @@ func fig6() {
 	design := &dxml.EDTDDesign{Type: tau, Kernel: dxml.MustParseKernel("eurostat(f1 nationalIndex(f2) f3)")}
 	_, ok, err := design.ExistsPerfect()
 	must(err)
-	fmt.Printf("  ∃-perf = %v\n", ok)
+	fmt.Fprintf(w, "  ∃-perf = %v\n", ok)
 	typings, err := design.MaximalLocalTypings()
 	must(err)
-	fmt.Printf("  maximal local typings: %d\n", len(typings))
+	fmt.Fprintf(w, "  maximal local typings: %d\n", len(typings))
 	for i, ty := range typings {
-		fmt.Printf("  typing %d:\n", i+1)
+		fmt.Fprintf(w, "  typing %d:\n", i+1)
 		for j, t := range ty {
-			fmt.Printf("    f%d: -> %s\n", j+1, dxml.DisplayRegex(dxml.RootContent(t)))
+			fmt.Fprintf(w, "    f%d: -> %s\n", j+1, dxml.DisplayRegex(dxml.RootContent(t)))
 		}
 	}
 }
 
 // fig7 measures the perfect-automaton construction: Lemma 6.6 bounds the
 // size of Ω by O(n·k³) for k states and n functions.
-func fig7() {
-	fmt.Println("Figure 7 / Lemma 6.6 — perfect automaton size vs k (states) and n (functions)")
-	fmt.Printf("  %-4s %-4s %10s %12s %14s\n", "k", "n", "|Ω| states", "build time", "|Ω|/(n·k³)")
+func fig7(w io.Writer) {
+	fmt.Fprintln(w, "Figure 7 / Lemma 6.6 — perfect automaton size vs k (states) and n (functions)")
+	fmt.Fprintf(w, "  %-4s %-4s %10s %12s %14s\n", "k", "n", "|Ω| states", "build time", "|Ω|/(n·k³)")
 	for _, k := range []int{4, 8, 12} {
 		for _, n := range []int{1, 2, 4} {
 			// Target: the k-state cycle automaton a0 a1 … a(k−1) repeated;
@@ -343,24 +344,24 @@ func fig7() {
 			omega := p.OmegaNFA()
 			dur := time.Since(start)
 			states := omega.NumStates()
-			fmt.Printf("  %-4d %-4d %10d %12s %14.3f\n", k, n, states, dur,
+			fmt.Fprintf(w, "  %-4d %-4d %10d %12s %14.3f\n", k, n, states, dur,
 				float64(states)/float64(n*k*k*k))
 		}
 	}
-	fmt.Println("  → the normalized column stays bounded: |Ω| = O(n·k³) as Lemma 6.6 states")
+	fmt.Fprintln(w, "  → the normalized column stays bounded: |Ω| = O(n·k³) as Lemma 6.6 states")
 }
 
-func fig8() {
-	fmt.Println("Figure 8 — Dec decomposition of overlapping automata into disjoint cells")
+func fig8(w io.Writer) {
+	fmt.Fprintln(w, "Figure 8 — Dec decomposition of overlapping automata into disjoint cells")
 	autos := []*dxml.NFA{
 		dxml.RegexNFA(dxml.MustParseRegex("a*")),
 		dxml.RegexNFA(dxml.MustParseRegex("a+")),
 		dxml.RegexNFA(dxml.MustParseRegex("a a | a a a")),
 	}
 	cells := dxml.DecomposeCells(autos)
-	fmt.Printf("  three automata (a*, a+, aa|aaa) → %d nonempty cells of ≤ 2³−1 = 7:\n", len(cells))
+	fmt.Fprintf(w, "  three automata (a*, a+, aa|aaa) → %d nonempty cells of ≤ 2³−1 = 7:\n", len(cells))
 	for _, c := range cells {
-		fmt.Printf("    members %v: %s\n", c.Members.Sorted(), dxml.DisplayRegex(c.Lang))
+		fmt.Fprintf(w, "    members %v: %s\n", c.Members.Sorted(), dxml.DisplayRegex(c.Lang))
 	}
 }
 

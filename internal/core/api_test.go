@@ -186,7 +186,7 @@ func TestEDTDIsMaximalLocalRejects(t *testing.T) {
 	}
 	bogus := make(Typing, 3)
 	for i := range bogus {
-		bogus[i] = edtdTypeFor(norm, i, strlang.EpsLang())
+		bogus[i] = typeFor(norm, i, strlang.EpsLang())
 	}
 	ok, err := d.IsMaximalLocal(bogus)
 	if err != nil || ok {

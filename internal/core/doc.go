@@ -11,12 +11,18 @@
 // loc/ml/perf[S] and the existence problems ∃-loc/∃-ml/∃-perf[S], solved
 // for words via the perfect automaton Ω(A, w) of Section 6 (Algorithm 1)
 // and the Dec(Ωi) cell decomposition of Section 6.1, for kernel boxes
-// (Section 7), and for trees via the reductions of Section 4 (per-node
-// string designs for DTDs/SDTDs; normalization and κ-functions for EDTDs).
+// (Section 7), and for trees via the reductions of Section 4. The tree
+// reductions are one engine (topdown.go): each class assigns specialized
+// names κ to the kernel's element nodes and solves one box design per
+// node (Corollary 4.14). An R-EDTD design normalizes its type, guesses κ
+// or computes the perfect κ, and verifies every combination; an R-DTD or
+// R-SDTD design is the same procedure at one fixed, singleton κ — labels
+// (Theorem 4.2) or witnesses (Theorem 4.5) — where per-node locality is
+// locality and nothing is verified again.
 //
 // Design values derive once. The top-down procedures all reduce to the
-// same derived objects: the per-node string designs (Theorem 4.2), the κ
-// box designs (Corollaries 4.14 and 4.16), the perfect automaton Ω, the
+// same derived objects: the node designs of every κ asked for (Theorems
+// 4.2 and 4.5, Corollaries 4.14 and 4.16), the perfect automaton Ω, the
 // Dec(Ωi) cells and the sound cell-union tuples (Theorems 6.10–6.11). A
 // BoxDesign, WordDesign, DTDDesign, SDTDDesign or EDTDDesign builds each
 // of them on first use and reuses it in every procedure later called on

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
-	"strconv"
 
 	"dxml/internal/axml"
 	"dxml/internal/schema"
@@ -13,228 +11,78 @@ import (
 	"dxml/internal/xmltree"
 )
 
-// This file implements the top-down design problems for R-EDTDs
-// (Section 4.3): the global type is first normalized (Lemma 4.10), then
-// candidate assignments κ from kernel nodes to sets of specialized names
-// induce box designs D^x_κ (Definition 19); locality of the tree design is
-// equivalent to the existence of a κ whose box designs are all local
-// (Theorem 4.13), and the perfect κ can be computed top-down
+// This file implements the R-EDTD class of the top-down engine
+// (Section 4.3, see topdown.go): the global type is first normalized
+// (Lemma 4.10), then candidate assignments κ from kernel nodes to sets of
+// specialized names induce box designs D^x_κ (Definition 19); locality of
+// the tree design is equivalent to the existence of a κ whose box designs
+// are all local and whose combination verifies (Theorem 4.13,
+// Corollary 4.14), and the perfect κ can be computed top-down
 // (Corollary 4.16).
 
 // EDTDDesign is a top-down R-EDTD design ⟨τ, T⟩.
 //
 // The normalized type, the tree automaton of the type, the perfect κ, the
-// κ space and the box designs of every κ are built on first use and reused by every procedure later
-// called on the same value, together with what each box design derives
-// (see BoxDesign); they are rebuilt when Type or Kernel is replaced or
-// AllowTrivialTypes changes. Procedure results are not kept, and
-// everything that depends on a typing passed in is checked on every call.
-// A design is not safe for concurrent use, and Type and Kernel must not be
-// modified in place after first use.
+// κ space and the box designs of every κ are built on first use and
+// reused by every procedure later called on the same value, together with
+// what each box design derives (see BoxDesign); they are rebuilt when
+// Type or Kernel is replaced or AllowTrivialTypes changes. Procedure
+// results are not kept, and everything that depends on a typing passed
+// in is checked on every call. A design is not safe for concurrent use,
+// and Type and Kernel must not be modified in place after first use.
 type EDTDDesign struct {
 	Type              *schema.EDTD
 	Kernel            *axml.Kernel
 	AllowTrivialTypes bool
 
-	derived *edtdDerived
+	derived *topDown
 }
 
-// edtdDerived is what an EDTD design has built, with the fields it was
-// built from.
-type edtdDerived struct {
-	typ          *schema.EDTD
-	kernel       *axml.Kernel
-	allowTrivial bool
-
-	norm         *schema.EDTD
-	typeNUTA     *uta.NUTA       // Type.ToNUTA, with its ε-free content automata
-	nodes        []*xmltree.Tree // kernelElementNodes, the κ key order
-	kappas       []Kappa
-	perfectKappa Kappa
-	perfectDone  bool
-	boxes        map[string]boxDesignsEntry // by kappaKey
-}
-
-// boxDesignsEntry is the outcome of boxDesigns for one κ.
-type boxDesignsEntry struct {
-	designs []*NodeDesign
-	err     error
-}
-
-// cache returns the design's derived artifacts, starting afresh when
-// Type, Kernel or AllowTrivialTypes differs from what they were built
-// from.
-func (d *EDTDDesign) cache() *edtdDerived {
-	c := d.derived
-	if c == nil || c.typ != d.Type || c.kernel != d.Kernel || c.allowTrivial != d.AllowTrivialTypes {
-		c = &edtdDerived{typ: d.Type, kernel: d.Kernel, allowTrivial: d.AllowTrivialTypes}
-		d.derived = c
-	}
-	return c
+// cache returns the design's engine, whose base is the normalized type
+// once Normalized has succeeded.
+func (d *EDTDDesign) cache() *topDown {
+	return derive(&d.derived, d.Type, d.Kernel, d.AllowTrivialTypes, func(t *topDown) {
+		t.kappaOf = func() (Kappa, error) { return perfectKappa(t.base, t.kernel), nil }
+	})
 }
 
 // Normalized returns the normalized version of the design's type, built
 // on first use.
 func (d *EDTDDesign) Normalized() (*schema.EDTD, error) {
-	c := d.cache()
-	if c.norm == nil {
+	t := d.cache()
+	if t.base == nil {
 		n, err := schema.Normalize(d.Type, schema.KindNFA)
 		if err != nil {
 			return nil, err
 		}
-		c.norm = n
+		t.base = n
 	}
-	return c.norm, nil
+	return t.base, nil
 }
 
-// typeNUTA returns the tree automaton of the design's type, built on
-// first use.
-func (d *EDTDDesign) typeNUTA() *uta.NUTA {
-	c := d.cache()
-	if c.typeNUTA == nil {
-		c.typeNUTA, _ = d.Type.ToNUTA()
+// engine returns the design's engine with its type normalized.
+func (d *EDTDDesign) engine() (*topDown, error) {
+	if _, err := d.Normalized(); err != nil {
+		return nil, err
 	}
-	return c.typeNUTA
+	return d.derived, nil
 }
 
-// equivalentToType reports whether [comp] = [τ], against the kept tree
-// automaton of τ.
-func (d *EDTDDesign) equivalentToType(comp *schema.EDTD) bool {
+// equivalentToType reports whether [comp] = [τ], against the tree
+// automaton of τ, built on first use.
+func (t *topDown) equivalentToType(comp *schema.EDTD) bool {
+	if t.typeNUTA == nil {
+		t.typeNUTA, _ = t.typ.(*schema.EDTD).ToNUTA()
+	}
 	na, _ := comp.ToNUTA()
-	ok, _ := uta.Equivalent(na, d.typeNUTA())
+	ok, _ := uta.Equivalent(na, t.typeNUTA)
 	return ok
 }
 
-// Kappa assigns to each kernel element node a nonempty set of specialized
-// names of the normalized type (Definition 19), keyed by node pointer.
-type Kappa map[*xmltree.Tree][]string
-
-// clone copies κ down to its name sets.
-func (k Kappa) clone() Kappa {
-	if k == nil {
-		return nil
-	}
-	out := make(Kappa, len(k))
-	for n, names := range k {
-		out[n] = slices.Clone(names)
-	}
-	return out
-}
-
-// kernelElementNodes lists the kernel's element nodes in document order.
-func kernelElementNodes(k *axml.Kernel) []*xmltree.Tree {
-	var out []*xmltree.Tree
-	k.Tree().Walk(func(n *xmltree.Tree, _ []string) bool {
-		if !k.IsFunc(n.Label) {
-			out = append(out, n)
-		}
-		return true
-	})
-	return out
-}
-
-// elementNodes returns kernelElementNodes of the design's kernel, listed
-// on first use.
-func (d *EDTDDesign) elementNodes() []*xmltree.Tree {
-	c := d.cache()
-	if c.nodes == nil {
-		c.nodes = kernelElementNodes(d.Kernel)
-	}
-	return c.nodes
-}
-
-// kappaKey encodes κ as its name sets in kernelElementNodes order, each
-// set and each name prefixed by its length, so distinct κ's get distinct
-// keys.
-func (d *EDTDDesign) kappaKey(kappa Kappa) string {
-	var key []byte
-	for _, n := range d.elementNodes() {
-		names := kappa[n]
-		key = strconv.AppendInt(key, int64(len(names)), 10)
-		key = append(key, ';')
-		for _, name := range names {
-			key = strconv.AppendInt(key, int64(len(name)), 10)
-			key = append(key, ':')
-			key = append(key, name...)
-		}
-	}
-	return string(key)
-}
-
-// boxDesigns returns the box designs D^x_κ of κ, built on first use for
-// that κ.
-func (d *EDTDDesign) boxDesigns(norm *schema.EDTD, kappa Kappa) ([]*NodeDesign, error) {
-	c := d.cache()
-	key := d.kappaKey(kappa)
-	e, ok := c.boxes[key]
-	if !ok {
-		e.designs, e.err = d.buildBoxDesigns(norm, kappa)
-		if c.boxes == nil {
-			c.boxes = map[string]boxDesignsEntry{}
-		}
-		c.boxes[key] = e
-	}
-	return e.designs, e.err
-}
-
-// buildBoxDesigns builds the box designs D^x_κ for every kernel element
-// node (Definition 19): the target is π(κ(x)) = ∪_{ã∈κ(x)} π(ã), the
-// kernel box has one set position κ(y) per element child y and one
-// function slot per function child.
-func (d *EDTDDesign) buildBoxDesigns(norm *schema.EDTD, kappa Kappa) ([]*NodeDesign, error) {
-	funcIdx := map[string]int{}
-	for i, f := range d.Kernel.Funcs() {
-		funcIdx[f] = i
-	}
-	var out []*NodeDesign
-	var err error
-	d.Kernel.Tree().Walk(func(n *xmltree.Tree, anc []string) bool {
-		if d.Kernel.IsFunc(n.Label) {
-			return true
-		}
-		names := kappa[n]
-		if len(names) == 0 {
-			err = fmt.Errorf("core: κ undefined at node %s", n.Label)
-			return false
-		}
-		var parts []*strlang.NFA
-		for _, name := range names {
-			parts = append(parts, norm.Rule(name).Lang())
-		}
-		target := strlang.UnionAll(parts...)
-		var boxes []strlang.Box
-		var funcs []string
-		var idx []int
-		boxes = append(boxes, strlang.Box{})
-		for _, c := range n.Children {
-			if d.Kernel.IsFunc(c.Label) {
-				funcs = append(funcs, c.Label)
-				idx = append(idx, funcIdx[c.Label])
-				boxes = append(boxes, strlang.Box{})
-			} else {
-				last := &boxes[len(boxes)-1]
-				*last = append(*last, append([]strlang.Symbol(nil), kappa[c]...))
-			}
-		}
-		kb, kbErr := axml.NewKernelBox(boxes, funcs)
-		if kbErr != nil {
-			err = kbErr
-			return false
-		}
-		bd := NewBoxDesign(target, kb)
-		bd.AllowTrivialTypes = d.AllowTrivialTypes
-		out = append(out, &NodeDesign{
-			Path:    append([]string(nil), anc...),
-			Witness: fmt.Sprintf("{%v}", names),
-			Design:  &WordDesign{BoxDesign: *bd},
-			FuncIdx: idx,
-		})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+// verifyLocal composes the typing and checks T(τn) ≡ τ.
+func (t *topDown) verifyLocal(typing Typing) bool {
+	comp, err := Compose(t.kernel, typing)
+	return err == nil && t.equivalentToType(comp)
 }
 
 // PerfectKappa builds the κ of Corollary 4.16 top-down: κ(root) is the
@@ -243,30 +91,19 @@ func (d *EDTDDesign) buildBoxDesigns(norm *schema.EDTD, kappa Kappa) ([]*NodeDes
 // position-tagged symbols. A nil result means some node gets an empty set,
 // so no sound typing (hence no perfect typing) exists.
 func (d *EDTDDesign) PerfectKappa() (Kappa, error) {
-	kappa, err := d.perfectKappa()
-	return kappa.clone(), err
-}
-
-// perfectKappa returns the design's own perfect κ, built on first use.
-func (d *EDTDDesign) perfectKappa() (Kappa, error) {
-	c := d.cache()
-	if !c.perfectDone {
-		kappa, err := d.buildPerfectKappa()
-		if err != nil {
-			return nil, err
-		}
-		c.perfectKappa, c.perfectDone = kappa, true
-	}
-	return c.perfectKappa, nil
-}
-
-func (d *EDTDDesign) buildPerfectKappa() (Kappa, error) {
-	norm, err := d.Normalized()
+	t, err := d.engine()
 	if err != nil {
 		return nil, err
 	}
+	kappa, _ := t.ownKappa()
+	return kappa.clone(), nil
+}
+
+// perfectKappa builds the κ of Corollary 4.16 over the normalized type
+// norm; nil when there is none.
+func perfectKappa(norm *schema.EDTD, k *axml.Kernel) Kappa {
 	kappa := Kappa{}
-	root := d.Kernel.Tree()
+	root := k.Tree()
 	var starts []string
 	for _, s := range norm.Starts {
 		if norm.Elem(s) == root.Label {
@@ -274,7 +111,7 @@ func (d *EDTDDesign) buildPerfectKappa() (Kappa, error) {
 		}
 	}
 	if len(starts) == 0 {
-		return nil, nil
+		return nil
 	}
 	kappa[root] = starts
 	var rec func(n *xmltree.Tree) bool
@@ -289,7 +126,7 @@ func (d *EDTDDesign) buildPerfectKappa() (Kappa, error) {
 		rx := strlang.EpsLang()
 		for j, c := range n.Children {
 			var step *strlang.NFA
-			if d.Kernel.IsFunc(c.Label) {
+			if k.IsFunc(c.Label) {
 				// Any sequence of names, all tagged j.
 				var syms []strlang.Symbol
 				for _, name := range norm.SpecializedNames() {
@@ -321,7 +158,7 @@ func (d *EDTDDesign) buildPerfectKappa() (Kappa, error) {
 			useful[s] = true
 		}
 		for j, c := range n.Children {
-			if d.Kernel.IsFunc(c.Label) {
+			if k.IsFunc(c.Label) {
 				continue
 			}
 			var set []string
@@ -337,16 +174,16 @@ func (d *EDTDDesign) buildPerfectKappa() (Kappa, error) {
 			kappa[c] = set
 		}
 		for _, c := range n.Children {
-			if !d.Kernel.IsFunc(c.Label) && !rec(c) {
+			if !k.IsFunc(c.Label) && !rec(c) {
 				return false
 			}
 		}
 		return true
 	}
 	if !rec(root) {
-		return nil, nil
+		return nil
 	}
-	return kappa, nil
+	return kappa
 }
 
 // expandTags rewrites an NFA over names into one over position-tagged
@@ -373,69 +210,16 @@ func expandTags(nfa *strlang.NFA, m int, tag func(string, int) string) *strlang.
 	return out
 }
 
-// edtdTypeFor wraps a word language over the normalized names as the EDTD
-// type of a function.
-func edtdTypeFor(norm *schema.EDTD, i int, lang *strlang.NFA) *schema.EDTD {
-	e := norm.Clone()
-	root := freshRoot(e, i)
-	e.Starts = []string{root}
-	e.Names[root] = root
-	e.Rules[root] = schema.NewContentNFA(lang)
-	return e
-}
-
-// typingFromBoxWords assembles per-node box word typings into a tree
-// typing over the normalized type.
-func (d *EDTDDesign) typingFromBoxWords(norm *schema.EDTD, designs []*NodeDesign, perNode []WordTyping) Typing {
-	wt := combineWordTypings(d.Kernel.NumFuncs(), designs, perNode)
-	out := make(Typing, len(wt))
-	for i, lang := range wt {
-		out[i] = edtdTypeFor(norm, i, lang)
-	}
-	return out
-}
-
-// verifyLocal composes the typing and checks T(τn) ≡ τ.
-func (d *EDTDDesign) verifyLocal(typing Typing) bool {
-	comp, err := Compose(d.Kernel, typing)
-	if err != nil {
-		return false
-	}
-	return d.equivalentToType(comp)
-}
-
 // ExistsPerfect decides ∃-perf[R-EDTD] (Corollary 4.16): build the perfect
 // κ, require a perfect typing for every box design, and verify the
 // combination.
 func (d *EDTDDesign) ExistsPerfect() (Typing, bool, error) {
-	norm, err := d.Normalized()
+	t, err := d.engine()
 	if err != nil {
 		return nil, false, err
 	}
-	kappa, err := d.perfectKappa()
-	if err != nil {
-		return nil, false, err
-	}
-	if kappa == nil {
-		return nil, false, nil
-	}
-	designs, err := d.boxDesigns(norm, kappa)
-	if err != nil {
-		return nil, false, err
-	}
-	perNode := make([]WordTyping, len(designs))
-	for i, nd := range designs {
-		wt, ok := nd.Design.PerfectTyping()
-		if !ok {
-			return nil, false, nil
-		}
-		perNode[i] = wt
-	}
-	typing := d.typingFromBoxWords(norm, designs, perNode)
-	if !d.verifyLocal(typing) {
-		return nil, false, nil
-	}
-	return typing, true, nil
+	typing, ok := t.existsOwn((*WordDesign).PerfectTyping)
+	return typing, ok, nil
 }
 
 // IsPerfect decides perf[R-EDTD] (Theorem 7.9): the perfect typing is
@@ -454,25 +238,20 @@ func (d *EDTDDesign) IsLocal(typing Typing) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return d.equivalentToType(comp), nil
+	return d.cache().equivalentToType(comp), nil
 }
 
 // allKappas returns every κ (nonempty subsets of Σ̃d(lab(x)) per element
 // node), enumerated on first use. Exponential, as the NP^C oracle machine
 // of Corollary 4.14 requires.
-func (d *EDTDDesign) allKappas(norm *schema.EDTD) []Kappa {
-	c := d.cache()
-	if c.kappas == nil {
-		c.kappas = enumerateKappas(norm, d.elementNodes())
+func (t *topDown) allKappas() []Kappa {
+	if t.kappas != nil {
+		return t.kappas
 	}
-	return c.kappas
-}
-
-func enumerateKappas(norm *schema.EDTD, nodes []*xmltree.Tree) []Kappa {
+	nodes := t.elementNodes()
 	options := make([][][]string, len(nodes))
 	for i, n := range nodes {
-		specs := norm.Specializations(n.Label)
-		var subsets [][]string
+		specs := t.base.Specializations(n.Label)
 		for mask := 1; mask < 1<<len(specs); mask++ {
 			var set []string
 			for b := range specs {
@@ -480,33 +259,18 @@ func enumerateKappas(norm *schema.EDTD, nodes []*xmltree.Tree) []Kappa {
 					set = append(set, specs[b])
 				}
 			}
-			subsets = append(subsets, set)
+			options[i] = append(options[i], set)
 		}
-		if len(subsets) == 0 {
-			return []Kappa{}
-		}
-		options[i] = subsets
 	}
-	var out []Kappa
-	choice := make([]int, len(nodes))
-	for {
-		kappa := Kappa{}
+	t.kappas = []Kappa{}
+	eachPick(options, func(pick [][]string) {
+		kappa := make(Kappa, len(nodes))
 		for i, n := range nodes {
-			kappa[n] = options[i][choice[i]]
+			kappa[n] = pick[i]
 		}
-		out = append(out, kappa)
-		i := 0
-		for ; i < len(choice); i++ {
-			choice[i]++
-			if choice[i] < len(options[i]) {
-				break
-			}
-			choice[i] = 0
-		}
-		if i == len(choice) {
-			return out
-		}
-	}
+		t.kappas = append(t.kappas, kappa)
+	})
+	return t.kappas
 }
 
 // ExistsLocal decides ∃-loc[R-EDTD] (Corollary 4.14): guess κ, solve the
@@ -515,30 +279,9 @@ func (d *EDTDDesign) ExistsLocal() (Typing, bool, error) {
 	if typing, ok, err := d.ExistsPerfect(); err != nil || ok {
 		return typing, ok, err
 	}
-	norm, err := d.Normalized()
-	if err != nil {
-		return nil, false, err
-	}
-	for _, kappa := range d.allKappas(norm) {
-		designs, err := d.boxDesigns(norm, kappa)
-		if err != nil {
-			continue
-		}
-		perNode := make([]WordTyping, len(designs))
-		ok := true
-		for i, nd := range designs {
-			wt, found := nd.Design.LocalTyping()
-			if !found {
-				ok = false
-				break
-			}
-			perNode[i] = wt
-		}
-		if !ok {
-			continue
-		}
-		typing := d.typingFromBoxWords(norm, designs, perNode)
-		if d.verifyLocal(typing) {
+	t := d.derived // normalized by ExistsPerfect
+	for _, kappa := range t.allKappas() {
+		if typing, ok := t.exists(kappa, (*WordDesign).LocalTyping); ok {
 			return typing, true, nil
 		}
 	}
@@ -550,65 +293,57 @@ func (d *EDTDDesign) ExistsLocal() (Typing, bool, error) {
 // verify locality; dominated typings (componentwise tree-language
 // inclusion) are removed across κ's.
 func (d *EDTDDesign) MaximalLocalTypings() ([]Typing, error) {
-	norm, err := d.Normalized()
+	t, err := d.engine()
 	if err != nil {
 		return nil, err
 	}
 	var candidates []Typing
-	for _, kappa := range d.allKappas(norm) {
-		designs, err := d.boxDesigns(norm, kappa)
-		if err != nil {
-			continue
-		}
-		perNode := make([][]WordTyping, len(designs))
-		ok := true
-		for i, nd := range designs {
-			perNode[i] = nd.Design.MaximalLocalTypings()
-			if len(perNode[i]) == 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		choice := make([]int, len(designs))
-		for {
-			pick := make([]WordTyping, len(designs))
-			for i := range designs {
-				pick[i] = perNode[i][choice[i]]
-			}
-			typing := d.typingFromBoxWords(norm, designs, pick)
-			if d.verifyLocal(typing) {
+	for _, kappa := range t.allKappas() {
+		t.eachMaximal(kappa, func(wt WordTyping) {
+			if typing := t.typing(wt); t.verifyLocal(typing) {
 				candidates = append(candidates, typing)
 			}
-			i := 0
-			for ; i < len(choice); i++ {
-				choice[i]++
-				if choice[i] < len(perNode[i]) {
-					break
-				}
-				choice[i] = 0
-			}
-			if i == len(choice) {
-				break
+		})
+	}
+	return undominated(candidates), nil
+}
+
+// undominated drops the candidates that another one strictly contains
+// componentwise, and every later copy of an equivalent one, keeping the
+// order. Each candidate's components become tree automata once, on first
+// comparison, and each ordered pair is decided at most once.
+func undominated(candidates []Typing) []Typing {
+	nutas := make([][]*uta.NUTA, len(candidates))
+	toNUTAs := func(i int) []*uta.NUTA {
+		if nutas[i] == nil {
+			nutas[i] = make([]*uta.NUTA, len(candidates[i]))
+			for x, tau := range candidates[i] {
+				nutas[i][x], _ = tau.ToNUTA()
 			}
 		}
+		return nutas[i]
 	}
-	// Remove duplicates and dominated candidates.
+	leqs := map[[2]int]bool{}
+	leq := func(i, j int) bool {
+		v, ok := leqs[[2]int{i, j}]
+		if !ok {
+			a, b := toNUTAs(i), toNUTAs(j)
+			v = true
+			for x := range a {
+				if v, _ = uta.Included(a[x], b[x]); !v {
+					break
+				}
+			}
+			leqs[[2]int{i, j}] = v
+		}
+		return v
+	}
 	var out []Typing
 	for i, t := range candidates {
 		keep := true
-		for j, u := range candidates {
-			if i == j {
-				continue
-			}
-			if LeqTyping(t, u) && !EquivTyping(t, u) {
+		for j := range candidates {
+			if i != j && leq(i, j) && (j < i || !leq(j, i)) {
 				keep = false
-				break
-			}
-			if j < i && EquivTyping(t, u) {
-				keep = false // duplicate, keep the first
 				break
 			}
 		}
@@ -616,7 +351,7 @@ func (d *EDTDDesign) MaximalLocalTypings() ([]Typing, error) {
 			out = append(out, t)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // ExistsMaximalLocal decides ∃-ml[R-EDTD].

@@ -130,11 +130,11 @@ func TestFrontierSearchMatchesOracle(t *testing.T) {
 		if _, err := d.MaximalLocalTypings(); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if len(d.cache().boxes) == 0 {
+		if len(d.cache().designs) == 0 {
 			t.Fatalf("%s: no κ box designs built", label)
 		}
-		for key, e := range d.cache().boxes {
-			checkNodes(fmt.Sprintf("%s κ %q", label, key), e.designs)
+		for key, nds := range d.cache().designs {
+			checkNodes(fmt.Sprintf("%s κ %q", label, key), nds)
 		}
 	}
 

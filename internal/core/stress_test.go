@@ -10,12 +10,15 @@ import (
 )
 
 // TestStressRouteAgreement fuzzes random DTD designs through the three
-// independent top-down routes (Theorems 4.2, 4.5, Section 4.3), which
-// must agree on ∃-loc and ∃-perf.
+// top-down routes (Theorems 4.2, 4.5, Section 4.3), which must agree on
+// ∃-loc and ∃-perf. The DTD and SDTD routes must moreover return
+// equivalent typings and as many maximal local word typings, and each
+// must accept, as local and as perfect, the typings the other returned.
 func TestStressRouteAgreement(t *testing.T) {
 	kernels := []string{"s(f1)", "s(a f1)", "s(f1 f2)", "s(f1 a(f2))", "s(a(f1) b)"}
 	roots := []string{"a* b?", "a b", "a*", "a | b", "a+ b*", "b* a", "(a b)*"}
 	subs := []string{"", "\na -> c?", "\na -> c*\nb -> ε"}
+	locals, perfects := 0, 0
 	for seed := int64(50); seed < 56; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 15; trial++ {
@@ -26,28 +29,60 @@ func TestStressRouteAgreement(t *testing.T) {
 			dD := &DTDDesign{Type: dtd, Kernel: kernel}
 			dS := &SDTDDesign{Type: dtd.ToEDTD(), Kernel: kernel}
 			dE := &EDTDDesign{Type: dtd.ToEDTD(), Kernel: kernel}
-			_, okD := dD.ExistsLocal()
-			_, okS := dS.ExistsLocal()
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("seed=%d %q over %s: %s", seed, dtdSrc, kSrc, fmt.Sprintf(format, args...))
+			}
+			// accepted checks that each of the DTD and SDTD routes accepts
+			// the other's typing.
+			accepted := func(what string, tyD, tyS Typing, dtdOK func(Typing) (bool, error), sdtdOK func(Typing) (bool, error)) {
+				t.Helper()
+				if !EquivTyping(tyD, tyS) {
+					fail("%s: DTD and SDTD typings differ", what)
+				}
+				if ok, err := dtdOK(tyS); err != nil || !ok {
+					fail("%s: DTD route rejects the SDTD typing (err %v)", what, err)
+				}
+				if ok, err := sdtdOK(tyD); err != nil || !ok {
+					fail("%s: SDTD route rejects the DTD typing (err %v)", what, err)
+				}
+			}
+
+			locD, okD := dD.ExistsLocal()
+			locS, okS := dS.ExistsLocal()
 			_, okE, err := dE.ExistsLocal()
 			if err != nil {
-				t.Fatalf("seed=%d %q over %s: %v", seed, dtdSrc, kSrc, err)
+				fail("%v", err)
 			}
 			if okD != okS || okD != okE {
-				t.Fatalf("seed=%d %q over %s: ∃-loc DTD=%v SDTD=%v EDTD=%v",
-					seed, dtdSrc, kSrc, okD, okS, okE)
+				fail("∃-loc DTD=%v SDTD=%v EDTD=%v", okD, okS, okE)
 			}
-			_, okD2 := dD.ExistsPerfect()
-			_, okS2 := dS.ExistsPerfect()
+			if okD {
+				accepted("∃-loc", locD, locS, dD.IsLocal, dS.IsLocal)
+				locals++
+			}
+			perfD, okD2 := dD.ExistsPerfect()
+			perfS, okS2 := dS.ExistsPerfect()
 			_, okE2, err := dE.ExistsPerfect()
 			if err != nil {
-				t.Fatalf("seed=%d %q over %s: %v", seed, dtdSrc, kSrc, err)
+				fail("%v", err)
 			}
 			if okD2 != okS2 || okD2 != okE2 {
-				t.Fatalf("seed=%d %q over %s: ∃-perf DTD=%v SDTD=%v EDTD=%v",
-					seed, dtdSrc, kSrc, okD2, okS2, okE2)
+				fail("∃-perf DTD=%v SDTD=%v EDTD=%v", okD2, okS2, okE2)
+			}
+			if okD2 {
+				accepted("∃-perf", perfD, perfS, dD.IsPerfect, dS.IsPerfect)
+				perfects++
+			}
+			if nD, nS := len(dD.MaximalLocalWordTypings()), len(dS.MaximalLocalWordTypings()); nD != nS {
+				fail("∃-ml: %d DTD and %d SDTD maximal local typings", nD, nS)
 			}
 		}
 	}
+	if locals == 0 || perfects == 0 {
+		t.Fatalf("%d local and %d perfect typings cross-checked, want some of each", locals, perfects)
+	}
+	t.Logf("%d local and %d perfect typings cross-checked", locals, perfects)
 }
 
 // TestStressPerfectCharacterizations: on designs where the Ω typing has

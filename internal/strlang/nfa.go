@@ -606,6 +606,9 @@ func (a *NFA) Trim() (*NFA, []int) {
 	fwd := a.reachableFrom(a.start)
 	bwd := a.coReachable(a.final)
 	keep := fwd.Intersect(bwd)
+	// An unuseful start state means an empty language: the start state is
+	// kept, but none of its edges.
+	empty := !keep.Has(a.start)
 	keep.Add(a.start)
 	old2new := make([]int, a.NumStates())
 	for i := range old2new {
@@ -623,6 +626,9 @@ func (a *NFA) Trim() (*NFA, []int) {
 		nq := old2new[q]
 		if a.final.Has(q) {
 			b.final.Add(nq)
+		}
+		if empty {
+			continue
 		}
 		row := &a.trans[q]
 		scratch = scratch[:0]
@@ -739,11 +745,10 @@ func (a *NFA) MoveInto(dst, cur IntSet, sid int32) {
 // UsefulSymbols returns the sorted symbols that occur in some accepted
 // string ("the alphabet of the language", used by dual(τ) in Def. 4).
 //
-// They are the symbols on edges between the states Trim keeps, the useful
-// states and the start state; no trimmed copy is built.
+// They are the symbols on edges between useful states, the edges Trim
+// keeps; no trimmed copy is built.
 func (a *NFA) UsefulSymbols() []Symbol {
 	useful := a.reachableFrom(a.start).Intersect(a.coReachable(a.final))
-	useful.Add(a.start)
 	ids := collectAlphabet(func(yield func(int32)) {
 		for q := range useful.All() {
 			row := &a.trans[q]

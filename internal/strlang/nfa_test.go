@@ -226,6 +226,17 @@ func TestBulkRowsAreIndependent(t *testing.T) {
 // TestUsefulSymbolsMatchTrim: the symbols on edges between useful states
 // are the alphabet of the trimmed automaton.
 func TestUsefulSymbolsMatchTrim(t *testing.T) {
+	// An empty language whose start state loops: the state kept by force
+	// keeps none of its edges, so neither result has a symbol.
+	empty := NewNFA()
+	empty.AddState()
+	empty.AddTransition(0, "a", 0)
+	empty.MarkFinal(1)
+	trimmed, _ := empty.Trim()
+	if !empty.IsEmpty() || len(empty.UsefulSymbols()) != 0 || len(trimmed.Alphabet()) != 0 ||
+		trimmed.NumStates() != 1 || trimmed.Finals().Len() != 0 {
+		t.Fatalf("empty language: UsefulSymbols %v, trimmed\n%s", empty.UsefulSymbols(), trimmed)
+	}
 	r := rand.New(rand.NewSource(62))
 	for trial := 0; trial < 300; trial++ {
 		a := randomNFA(r)
