@@ -15,10 +15,10 @@ const captureFileName = "capture.dxfr"
 // captureRig wires the -capture flag into a running command: a flight
 // recorder whose ring backs postmortem bundles, a full binary capture
 // file under the chosen directory, and a dumper that writes one bundle
-// per typed wire failure. Every method is safe on the nil rig, so call
-// sites stay unconditional.
+// per typed wire failure. It is the command's transport observer; attach
+// it only when it exists. onError and close are safe on the nil rig.
 type captureRig struct {
-	rec  *dxml.FlightRecorder
+	*dxml.FlightRecorder
 	dump *dxml.FlightDumper
 	path string
 }
@@ -44,26 +44,24 @@ func newCaptureRig(dir string, c *dxml.Obs) (*captureRig, error) {
 		return nil, err
 	}
 	return &captureRig{
-		rec:  rec,
-		dump: &dxml.FlightDumper{Dir: dir, Rec: rec, Obs: c},
-		path: path,
+		FlightRecorder: rec,
+		dump:           &dxml.FlightDumper{Dir: dir, Rec: rec, Obs: c},
+		path:           path,
 	}, nil
 }
 
-// tap is the rig's transport tap, nil (the transports' no-op) when the
-// rig itself is nil — returning the interface here keeps a typed-nil
-// recorder out of Network.Tap.
-func (r *captureRig) tap() dxml.TransportTap {
-	if r == nil {
-		return nil
+// Observe records every frame and writes a postmortem for every
+// session failure.
+func (r *captureRig) Observe(ev dxml.TransportEvent) {
+	r.FlightRecorder.Observe(ev)
+	if ev.Err != nil { // a session failure
+		r.onError(ev.Err)
 	}
-	return r.rec
 }
 
 // onError writes a postmortem bundle for a typed wire failure and says
-// where it landed. Safe concurrently and on the nil rig, so it plugs
-// straight into OnWireError callbacks and the chaos listener's fault
-// hook.
+// where it landed. Safe concurrently and on the nil rig, so it also
+// plugs straight into the chaos listener's fault hook.
 func (r *captureRig) onError(err error) {
 	if r == nil {
 		return
@@ -84,7 +82,7 @@ func (r *captureRig) close() {
 	if r == nil {
 		return
 	}
-	if err := r.rec.Close(); err != nil {
+	if err := r.FlightRecorder.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "dxml: capture:", err)
 	}
 }

@@ -83,8 +83,7 @@ func runHost(args []string) {
 		Obs:                c,
 	}
 	if rig != nil {
-		cfg.Flight = rig.rec
-		cfg.OnWireError = rig.onError
+		cfg.Observer = rig
 	}
 	srv, reg, err := startHost(cfg, fs.Args(), *listen, *httpAddr, *chaosSeed, rig)
 	if err != nil {

@@ -110,7 +110,7 @@ type serveInstance struct {
 // path can be drilled against a real serve. The collector c (nil: no
 // telemetry) receives the host side's wire and validation metrics and,
 // when it carries a trace sink, per-fragment lifecycle spans. The rig
-// (nil: no flight recording) taps every frame this serve moves and
+// (nil: no flight recording) observes every frame this serve moves and
 // dumps a postmortem bundle on typed wire failures, including the
 // chaos injector's drops.
 func startServe(df *DesignFile, assigns []string, listen string, window int, chaosSeed int64, c *dxml.Obs, rig *captureRig) (*serveInstance, error) {
@@ -120,9 +120,8 @@ func startServe(df *DesignFile, assigns []string, listen string, window int, cha
 	}
 	srv.net.Window = window
 	srv.net.Obs = c
-	srv.net.Tap = rig.tap()
 	if rig != nil {
-		srv.net.OnWireError = rig.onError
+		srv.net.Observer = rig
 	}
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -378,7 +377,9 @@ func dialJoin(ctx context.Context, df *DesignFile, connect string, peers map[str
 	n.ChunkSize = chunk
 	n.Window = window
 	n.Obs = c
-	n.Tap = rig.tap()
+	if rig != nil {
+		n.Observer = rig
+	}
 	addrs := map[string]string{}
 	for _, fn := range df.Kernel.Funcs() {
 		switch {

@@ -133,14 +133,17 @@
 // a single cross-process timeline from the two sides' trace files.
 //
 // When telemetry is not enough, the flight recorder (internal/flight,
-// surfaced as NewFlightRecorder) is the federation's black box. A Tap
-// on the transport seam (Network.Tap, HostConfig.Tap) observes every
-// frame every session writes or reads as raw wire bytes — nil tap, like
-// the nil collector, is a single nil check on the hot path — and the
-// recorder keeps a bounded ring of recent frames plus, optionally, a
-// full length-prefixed binary capture file. On any typed wire failure
+// surfaced as NewFlightRecorder) is the federation's black box. The
+// wire has one observation seam, a TransportObserver (Network.Observer,
+// HostConfig.Observer), that receives every frame every session writes
+// or reads as raw wire bytes and every abnormal session death — a nil
+// observer, like the nil collector, is a single nil check on the hot
+// path. The recorder, a reducer over these events, keeps a bounded ring
+// of recent frames plus, optionally, a full length-prefixed binary
+// capture file; the host's tenant counters are another, so a host
+// counts exactly the frames it captures. On any typed wire failure
 // (ErrTimeout, a RefusedError, a chaos-injected fault, ErrCodec on
-// garbage bytes) the OnWireError hook dumps a postmortem bundle: frame
+// garbage bytes) the CLI's observer dumps a postmortem bundle: frame
 // ring, trace-span ring, and metrics snapshot in one self-contained
 // JSON artifact, rate-limited so a flapping peer cannot fill a disk.
 // The CLI closes the loop: `-capture dir` on serve, join, and host

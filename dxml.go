@@ -311,14 +311,18 @@ var (
 type ChaosListener = chaos.Listener
 
 // Flight recorder (internal/flight): the federation's black box. A
-// FlightRecorder taps every wire frame (both transports) into a bounded
-// ring and an optional full capture file; on any typed failure the
-// process dumps a postmortem bundle — frames, trace spans, metrics —
-// that `dxml inspect` decodes and `dxml replay` re-validates offline.
+// FlightRecorder observes every wire frame (both transports) into a
+// bounded ring and an optional full capture file; on any typed failure
+// the process dumps a postmortem bundle — frames, trace spans, metrics
+// — that `dxml inspect` decodes and `dxml replay` re-validates offline.
 type (
-	// TransportTap is the frame-observation seam both transports expose:
-	// assign one to Network.Tap (the FlightRecorder implements it).
-	TransportTap = transport.Tap
+	// TransportObserver is the wire's one observation seam: it receives
+	// every frame both transports write or read and every abnormal
+	// session death. Assign one to Network.Observer or
+	// HostConfig.Observer (the FlightRecorder implements it).
+	TransportObserver = transport.Observer
+	// TransportEvent is one observed frame or session failure.
+	TransportEvent = transport.Event
 	// FlightRecorder is the bounded frame ring + capture sink; nil
 	// records nothing.
 	FlightRecorder = flight.Recorder

@@ -138,5 +138,17 @@ func LeqTyping(a, b Typing) bool {
 	return true
 }
 
-// EquivTyping reports componentwise tree-language equivalence.
-func EquivTyping(a, b Typing) bool { return LeqTyping(a, b) && LeqTyping(b, a) }
+// EquivTyping reports componentwise tree-language equivalence. Each
+// pair of components is compared in one equivalence check, which turns
+// each side into a tree automaton once.
+func EquivTyping(a, b Typing) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if ok, _ := schema.EquivalentEDTD(a[i], b[i]); !ok {
+			return false
+		}
+	}
+	return true
+}

@@ -26,16 +26,8 @@ const (
 	maxRecordPayload = 64 << 20          // sanity bound; real frames stay far below
 )
 
-// Record is one capture-file entry: a Frame plus nothing — the struct
-// exists so the codec's surface is independent of the ring's.
-type Record struct {
-	Dir    Dir
-	Sess   uint64
-	WallNs int64
-	MonoNs int64
-	Orig   int    // full on-wire frame length
-	Wire   []byte // recorded bytes (== Orig unless ring-truncated)
-}
+// Record is one capture-file entry: a recorded Frame.
+type Record = Frame
 
 // writeCaptureHeader begins a capture stream.
 func writeCaptureHeader(w io.Writer) error {

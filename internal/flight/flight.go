@@ -1,5 +1,5 @@
 // Package flight is the federation's black box: a bounded ring of the
-// most recent wire frames, fed by the transport's Tap seam, plus an
+// most recent wire frames, fed as a transport.Observer, plus an
 // optional full binary capture file and a postmortem bundle writer.
 //
 // The recorder follows the obs package's nil discipline — a nil
@@ -27,19 +27,12 @@ import (
 
 // Dir is a recorded frame's direction relative to the recording
 // process: Out frames left it, In frames arrived.
-type Dir uint8
+type Dir = transport.Dir
 
 const (
-	Out Dir = iota
-	In
+	Out = transport.Out
+	In  = transport.In
 )
-
-func (d Dir) String() string {
-	if d == In {
-		return "in"
-	}
-	return "out"
-}
 
 // monoEpoch anchors the recorder's monotonic timestamps: MonoNs values
 // order frames reliably within one process even when the wall clock
@@ -87,7 +80,7 @@ type slot struct {
 }
 
 // Recorder is a bounded flight recorder: a ring of recent frames plus
-// an optional full capture sink. It implements transport.Tap. A nil
+// an optional full capture sink. It implements transport.Observer. A nil
 // *Recorder is the no-op sink. One recorder may be shared by many
 // sessions (a host's); frames carry their session's trace ID.
 type Recorder struct {
@@ -139,26 +132,22 @@ func (r *Recorder) CaptureTo(w io.Writer) error {
 	return nil
 }
 
-// TapFrame records one frame; it implements transport.Tap. head and
-// tail are the codec's two-part view of the wire bytes and are copied
-// before returning, as the Tap contract requires.
-func (r *Recorder) TapFrame(dir transport.TapDir, sess uint64, head, tail []byte) {
-	if r == nil {
+// Observe records one event's frame; it implements transport.Observer
+// and ignores Failed events, which carry no frame. The event's Head and
+// Tail are the codec's two-part view of the wire bytes and are copied
+// before returning, as the Observer contract requires.
+func (r *Recorder) Observe(ev transport.Event) {
+	if r == nil || ev.Kind == transport.Failed {
 		return
 	}
-	d := Out
-	if dir == transport.TapIn {
-		d = In
-	}
+	d, sess, head, tail := ev.Dir, ev.Sess, ev.Head, ev.Tail
 	orig := len(head) + len(tail)
 	wall := time.Now().UnixNano()
 	mono := int64(time.Since(monoEpoch))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.cw != nil && r.cwErr == nil {
-		r.cwErr = writeRecordParts(r.cw, Record{
-			Dir: d, Sess: sess, WallNs: wall, MonoNs: mono, Orig: orig,
-		}, head, tail)
+		r.cwErr = writeRecordParts(r.cw, Frame{Dir: d, Sess: sess, WallNs: wall, MonoNs: mono, Orig: orig}, head, tail)
 	}
 	s := &r.ring[r.next]
 	keep := orig
@@ -230,10 +219,7 @@ func (r *Recorder) EncodeRing() []byte {
 		if !s.used {
 			continue
 		}
-		writeRecordParts(&buf, Record{
-			Dir: s.f.Dir, Sess: s.f.Sess, WallNs: s.f.WallNs,
-			MonoNs: s.f.MonoNs, Orig: s.f.Orig,
-		}, s.f.Wire, nil)
+		writeRecordParts(&buf, s.f, s.f.Wire, nil)
 	}
 	return buf.b
 }

@@ -27,9 +27,23 @@ func wire(typ byte, payload []byte) []byte {
 	return b
 }
 
+// tap records one frame through the recorder's observer seam.
+func tap(r *Recorder, dir transport.Dir, sess uint64, head, tail []byte) {
+	r.Observe(transport.Event{Dir: dir, Sess: sess, Head: head, Tail: tail})
+}
+
+// A session failure carries no frame: the recorder keeps nothing for it.
+func TestRecorderSkipsFailures(t *testing.T) {
+	r := NewRecorder(Options{})
+	r.Observe(transport.Event{Kind: transport.Failed, Sess: 1, Err: errors.New("boom")})
+	if r.Total() != 0 || len(r.Frames()) != 0 {
+		t.Fatalf("recorded a failure as a frame: total %d", r.Total())
+	}
+}
+
 func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
-	r.TapFrame(transport.TapOut, 1, []byte{1, 2, 3}, nil) // must not panic
+	tap(r, transport.Out, 1, []byte{1, 2, 3}, nil) // must not panic
 	if got := r.Frames(); got != nil {
 		t.Fatalf("nil recorder frames = %v", got)
 	}
@@ -50,7 +64,7 @@ func TestNilRecorderIsNoop(t *testing.T) {
 func TestRingWraparound(t *testing.T) {
 	r := NewRecorder(Options{RingFrames: 4})
 	for i := 0; i < 10; i++ {
-		r.TapFrame(transport.TapOut, 7, wire(8, []byte{byte(i)}), nil)
+		tap(r, transport.Out, 7, wire(8, []byte{byte(i)}), nil)
 	}
 	if r.Total() != 10 {
 		t.Fatalf("total = %d, want 10", r.Total())
@@ -76,7 +90,7 @@ func TestRingWraparound(t *testing.T) {
 func TestRingTruncatesLargeFrames(t *testing.T) {
 	r := NewRecorder(Options{RingFrames: 2, FrameBytes: MinFrameBytes})
 	big := wire(8, bytes.Repeat([]byte{0xaa}, 1000))
-	r.TapFrame(transport.TapIn, 1, big[:9], big[9:]) // head/tail split like the reader
+	tap(r, transport.In, 1, big[:9], big[9:]) // head/tail split like the reader
 	frames := r.Frames()
 	if len(frames) != 1 {
 		t.Fatalf("frames = %d", len(frames))
@@ -95,11 +109,11 @@ func TestRingTruncatesLargeFrames(t *testing.T) {
 
 func TestFramesCopiesOutOfRing(t *testing.T) {
 	r := NewRecorder(Options{RingFrames: 2})
-	r.TapFrame(transport.TapOut, 1, wire(8, []byte("abc")), nil)
+	tap(r, transport.Out, 1, wire(8, []byte("abc")), nil)
 	frames := r.Frames()
 	// Overwrite the slot; the returned copy must not change.
-	r.TapFrame(transport.TapOut, 1, wire(8, []byte("xyz")), nil)
-	r.TapFrame(transport.TapOut, 1, wire(8, []byte("pqr")), nil)
+	tap(r, transport.Out, 1, wire(8, []byte("xyz")), nil)
+	tap(r, transport.Out, 1, wire(8, []byte("pqr")), nil)
 	if string(frames[0].Wire[5:]) != "abc" {
 		t.Fatalf("Frames aliases the live ring: %q", frames[0].Wire[5:])
 	}
@@ -113,8 +127,8 @@ func TestCaptureRoundTrip(t *testing.T) {
 	}
 	big := wire(8, bytes.Repeat([]byte{0xbb}, 500))
 	small := wire(9, []byte{0, 0, 0, 1})
-	r.TapFrame(transport.TapOut, 42, small, nil)
-	r.TapFrame(transport.TapIn, 42, big[:9], big[9:])
+	tap(r, transport.Out, 42, small, nil)
+	tap(r, transport.In, 42, big[:9], big[9:])
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +154,7 @@ func TestCaptureRoundTrip(t *testing.T) {
 func TestEncodeRingRoundTrip(t *testing.T) {
 	r := NewRecorder(Options{RingFrames: 4, FrameBytes: MinFrameBytes})
 	big := wire(8, bytes.Repeat([]byte{0xcc}, 300))
-	r.TapFrame(transport.TapOut, 5, big, nil)
+	tap(r, transport.Out, 5, big, nil)
 	recs, err := ReadCapture(bytes.NewReader(r.EncodeRing()))
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +196,7 @@ func TestConcurrentTaps(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.TapFrame(transport.TapOut, uint64(g), wire(8, []byte{byte(i)}), nil)
+				tap(r, transport.Out, uint64(g), wire(8, []byte{byte(i)}), nil)
 			}
 		}(g)
 	}
@@ -230,7 +244,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	c.Span(obs.Span{Name: "hello", Trace: 9})
 
 	r := NewRecorder(Options{RingFrames: 4})
-	r.TapFrame(transport.TapOut, 9, wire(8, []byte("hi")), nil)
+	tap(r, transport.Out, 9, wire(8, []byte("hi")), nil)
 
 	b := NewBundle(transport.ErrTimeout, r, c)
 	if b.Kind != "timeout" || b.Frames != 1 {
@@ -263,7 +277,7 @@ func TestBundleRoundTrip(t *testing.T) {
 func TestDumperLimitAndNames(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRecorder(Options{RingFrames: 2})
-	r.TapFrame(transport.TapIn, 1, wire(8, nil), nil)
+	tap(r, transport.In, 1, wire(8, nil), nil)
 	d := &Dumper{Dir: dir, Rec: r, Limit: 2}
 
 	var nilDumper *Dumper
@@ -316,7 +330,7 @@ func TestCaptureFileLifecycle(t *testing.T) {
 	if err := r.CaptureTo(f); err != nil {
 		t.Fatal(err)
 	}
-	r.TapFrame(transport.TapOut, 3, wire(8, []byte("x")), nil)
+	tap(r, transport.Out, 3, wire(8, []byte("x")), nil)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,8 @@ func FuzzCaptureRecords(f *testing.F) {
 	if err := r.CaptureTo(&buf); err != nil {
 		f.Fatal(err)
 	}
-	r.TapFrame(transport.TapOut, 1, wire(8, []byte("seed-payload")), nil)
-	r.TapFrame(transport.TapIn, 2, wire(9, []byte{0, 0, 0, 1}), nil)
+	tap(r, transport.Out, 1, wire(8, []byte("seed-payload")), nil)
+	tap(r, transport.In, 2, wire(9, []byte{0, 0, 0, 1}), nil)
 	if err := r.Flush(); err != nil {
 		f.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // frames of the session just run are there, decoded, newest ones last.
 func TestDebugFlightEndpoint(t *testing.T) {
 	rec := flight.NewRecorder(flight.Options{RingFrames: 1024})
-	srv, base := newTestServer(t, Config{Obs: obs.New(), Flight: rec})
+	srv, base := newTestServer(t, Config{Obs: obs.New(), Observer: rec})
 
 	d := miniDesign(1, 200)
 	c, err := transport.Dial(srv.Addr().String(), transport.Config{Digest: d.Digest, Chunk: 4096})

@@ -11,10 +11,12 @@
 // wire — transport.ErrOverCapacity, never a hang — and idle compiled
 // designs are evicted least-recently-used when the resident budget
 // needs room, then rebuilt on the next hello. Per-tenant and global
-// counters mirror the protocol-level accounting the kernel peer's
-// p2p.Stats keeps (verdicts and fragment envelopes cost len(fn)+1
-// bytes, chunks their payload), so a tenant's metrics and its clients'
-// stats agree on fully delivered traffic.
+// counters are a reducer over each session's transport events, counting
+// the traffic the kernel peer's p2p.Stats counts at the byte costs
+// transport defines, so a tenant's metrics and its clients' stats agree
+// on fully delivered traffic, one-shot and live (a reconnect's recovery
+// traffic, which Stats leaves out, is counted here), and the chunks a
+// host counts are exactly the chunk frames its observer captures.
 package host
 
 import (
@@ -25,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dxml/internal/flight"
 	"dxml/internal/obs"
 	"dxml/internal/transport"
 )
@@ -75,17 +76,14 @@ type Config struct {
 	// the transport host so wire-level metrics land in the same
 	// collector. Nil (the default) is the no-op sink.
 	Obs *obs.Collector
-	// Flight, when non-nil, is the host's flight recorder: it taps every
-	// session's wire frames into its ring (and capture file, when one is
-	// attached), the HTTP server exposes the live ring at /debug/flight,
-	// and abnormal session deaths dump postmortem bundles through
-	// OnWireError. Nil (the default) records nothing.
-	Flight *flight.Recorder
-	// OnWireError, when non-nil, is called whenever a session dies
-	// abnormally (refused hello, liveness timeout, codec error, injected
-	// fault) — the postmortem-dump trigger. Called from session
-	// goroutines; must be safe for concurrent use.
-	OnWireError func(error)
+	// Observer, when non-nil, observes every session's wire frames and
+	// abnormal deaths (refused hello, liveness timeout, codec error,
+	// injected fault): typically a flight recorder and the
+	// postmortem-dump trigger. When it also holds a frame ring, as a
+	// *flight.Recorder does (Frames and Total), the HTTP server exposes
+	// the live ring at /debug/flight. Nil (the default) observes
+	// nothing.
+	Observer transport.Observer
 }
 
 // Design is one registered tenant: a name for metrics, the digest its
@@ -106,8 +104,8 @@ type Design struct {
 type counters struct {
 	sessions   atomic.Int64 // admitted sessions, lifetime
 	verdicts   atomic.Int64 // answered verdict requests
-	messages   atomic.Int64 // protocol messages (verdicts + delivered fragments)
-	frames     atomic.Int64 // wire frames (envelopes + chunks + edits)
+	messages   atomic.Int64 // protocol messages (verdicts, delivered fragments, subscriptions, edits, verdict updates)
+	frames     atomic.Int64 // wire frames (messages + chunks)
 	bytes      atomic.Int64 // payload bytes shipped
 	delivered  atomic.Int64 // fully delivered fragments/snapshots
 	edits      atomic.Int64 // live edits shipped
@@ -116,18 +114,31 @@ type counters struct {
 	evictions  atomic.Int64 // residency evictions
 }
 
-// addMessage mirrors p2p.Stats.addMessage: one envelope frame plus its
-// payload bytes.
-func (c *counters) addMessage(bytes int) {
+// count is the traffic reducer: one session event into one scope.
+// Chunks are frames; the other counted kinds are messages, each one
+// frame, at the byte cost the event carries.
+func (c *counters) count(ev transport.Event) {
+	switch ev.Kind {
+	case transport.Chunk:
+		c.frames.Add(1)
+		c.bytes.Add(int64(ev.Cost))
+		return
+	case transport.Resumed:
+		c.reconnects.Add(1)
+		return
+	case transport.Verdict:
+		c.verdicts.Add(1)
+	case transport.Delivered:
+		c.delivered.Add(1)
+	case transport.Edit:
+		c.edits.Add(1)
+	case transport.Subscribed, transport.VerdictUpdate:
+	default:
+		return
+	}
 	c.messages.Add(1)
 	c.frames.Add(1)
-	c.bytes.Add(int64(bytes))
-}
-
-// addFrame mirrors p2p.Stats.addFrame: one payload frame.
-func (c *counters) addFrame(bytes int) {
-	c.frames.Add(1)
-	c.bytes.Add(int64(bytes))
+	c.bytes.Add(int64(ev.Cost))
 }
 
 // CounterSnapshot is a consistent-enough copy of one scope's counters
@@ -281,10 +292,12 @@ func (r *Registry) Route(digest []byte) (transport.Route, error) {
 	t.counters.sessions.Add(1)
 	r.global.sessions.Add(1)
 	var once sync.Once
+	g := &gate{reg: r, t: t}
 	return transport.Route{
-		Sources: t.sources,
-		Gate:    &gate{reg: r, t: t},
-		Close:   func() { once.Do(func() { r.sessionClosed(t) }) },
+		Sources:  t.sources,
+		Gate:     g,
+		Observer: g,
+		Close:    func() { once.Do(func() { r.sessionClosed(t) }) },
 	}, nil
 }
 
@@ -362,8 +375,9 @@ func (r *Registry) evictLocked(pressure func() bool) {
 	}
 }
 
-// gate is one session's transport.Gate: stream admission under the
-// transfer caps, and traffic accounting into both scopes.
+// gate is one session's transport.Gate and route observer: stream
+// admission under the transfer caps, and traffic accounting into both
+// scopes.
 type gate struct {
 	reg *Registry
 	t   *tenant
@@ -394,35 +408,9 @@ func (g *gate) CloseStream(fn string) {
 	r.mu.Unlock()
 }
 
-func (g *gate) VerdictServed(fn string) {
-	g.t.counters.verdicts.Add(1)
-	g.reg.global.verdicts.Add(1)
-	g.t.counters.addMessage(len(fn) + 1)
-	g.reg.global.addMessage(len(fn) + 1)
-}
-
-func (g *gate) ChunkShipped(bytes int) {
-	g.t.counters.addFrame(bytes)
-	g.reg.global.addFrame(bytes)
-}
-
-func (g *gate) FragmentDelivered(fn string) {
-	g.t.counters.delivered.Add(1)
-	g.reg.global.delivered.Add(1)
-	g.t.counters.addMessage(len(fn) + 1)
-	g.reg.global.addMessage(len(fn) + 1)
-}
-
-func (g *gate) EditShipped(bytes int) {
-	g.t.counters.edits.Add(1)
-	g.reg.global.edits.Add(1)
-	g.t.counters.addFrame(bytes)
-	g.reg.global.addFrame(bytes)
-}
-
-func (g *gate) Resumed(fn string) {
-	g.t.counters.reconnects.Add(1)
-	g.reg.global.reconnects.Add(1)
+func (g *gate) Observe(ev transport.Event) {
+	g.t.counters.count(ev)
+	g.reg.global.count(ev)
 }
 
 // TenantAdmissionHists snapshots every tenant's admission-latency

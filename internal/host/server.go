@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"dxml/internal/flight"
 	"dxml/internal/obs"
 	"dxml/internal/transport"
 )
@@ -38,8 +39,8 @@ func NewServer(reg *Registry, ln, httpLn net.Listener) *Server {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.healthz)
 	s.mux.HandleFunc("/metrics", s.metrics)
-	if reg.cfg.Flight != nil {
-		s.mux.HandleFunc("/debug/flight", s.debugFlight)
+	if ring, ok := reg.cfg.Observer.(flightRing); ok {
+		s.mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, _ *http.Request) { debugFlight(w, ring) })
 	}
 	s.host = transport.NewHost(ln, reg.hostConfig())
 	if httpLn != nil {
@@ -52,20 +53,14 @@ func NewServer(reg *Registry, ln, httpLn net.Listener) *Server {
 // hostConfig is how the registry's sessions are served, over TCP
 // (NewServer) or in process (Session) alike.
 func (r *Registry) hostConfig() transport.HostConfig {
-	hcfg := transport.HostConfig{Router: r, Timeout: r.cfg.Timeout, Window: r.cfg.Window, Obs: r.cfg.Obs,
-		OnError: r.cfg.OnWireError}
-	if r.cfg.Flight != nil {
-		// Assign only a non-nil recorder: a typed-nil *Recorder in the
-		// Tap interface would defeat the transport's tap == nil check.
-		hcfg.Tap = r.cfg.Flight
-	}
-	return hcfg
+	return transport.HostConfig{Router: r, Timeout: r.cfg.Timeout, Window: r.cfg.Window, Obs: r.cfg.Obs,
+		Observer: r.cfg.Observer}
 }
 
 // Session opens an in-process session against the registry: a
 // transport.Pipe served exactly as NewServer serves a TCP hello, so
-// admission, routing, stream caps, accounting, deadlines, the flight
-// tap and obs are the wire's own. An unknown digest is refused with
+// admission, routing, stream caps, accounting, deadlines, the observer
+// and obs are the wire's own. An unknown digest is refused with
 // transport.ErrUnknownDesign and an over-budget hello with
 // transport.ErrOverCapacity. Close the session to release its
 // admission slot; Close returns once it is released.
@@ -185,10 +180,16 @@ type flightFrame struct {
 	Truncated bool   `json:"truncated,omitempty"`
 }
 
+// flightRing is the live frame ring an observer may hold (a
+// *flight.Recorder does): what /debug/flight serves.
+type flightRing interface {
+	Frames() []flight.Frame
+	Total() uint64
+}
+
 // debugFlight serves the flight recorder's live ring as JSON: the most
 // recent frames across every session, oldest first.
-func (s *Server) debugFlight(w http.ResponseWriter, req *http.Request) {
-	rec := s.reg.cfg.Flight
+func debugFlight(w http.ResponseWriter, rec flightRing) {
 	frames := rec.Frames()
 	out := struct {
 		Total  uint64        `json:"total"`

@@ -201,10 +201,6 @@ type LiveUpdate struct {
 	Err error
 }
 
-// verdictUpdateWireSize is the fixed frame cost of one verdict-update
-// message (type + id + version + verdict), identical on both wires.
-const verdictUpdateWireSize = 14
-
 // LiveFederation is the kernel peer's live session: replicas and the
 // incremental result tree, advanced by the docking points' edit feeds.
 type LiveFederation struct {
@@ -287,7 +283,7 @@ func (n *Network) OpenLive(ctx context.Context) (*LiveFederation, error) {
 			return fail(fmt.Errorf("p2p: subscribe %s: %w", fn, err))
 		}
 		lv.feeds[fn] = feed
-		n.Stats.addMessage(len(fn) + 1) // subscription envelope
+		n.Stats.addMessage(transport.EnvelopeCost(fn)) // subscription envelope
 		var buf bytes.Buffer
 		for {
 			chunk, cerr := feed.NextChunk()
@@ -431,7 +427,7 @@ func (lv *LiveFederation) drain(fn string) {
 			return
 		}
 		if serr := feed.SendVerdict(up.Version, up.Valid); serr == nil {
-			lv.n.Stats.addMessage(verdictUpdateWireSize)
+			lv.n.Stats.addMessage(transport.VerdictUpdateCost)
 		}
 		lv.emit(up)
 	}

@@ -196,20 +196,6 @@ func (s *Stats) Totals() Totals {
 		Revalidated: s.Revalidated, Skipped: s.Skipped, Reconnects: s.Reconnects}
 }
 
-// message is a verdict on the wire, costed at a fixed serialized size.
-type message struct {
-	from    string
-	verdict bool
-}
-
-// verdictMessage builds a verdict-only message.
-func verdictMessage(from string, verdict bool) message {
-	return message{from: from, verdict: verdict}
-}
-
-// wireSize is the fixed serialized size of a verdict frame.
-func (m message) wireSize() int { return len(m.from) + 1 }
-
 // ResourcePeer owns one docking point's document and local type. The
 // streaming machine for the type is compiled lazily once and shared by
 // every validation; replace the peer (AddPeer) rather than mutating Type
@@ -449,17 +435,12 @@ type Network struct {
 	// collector. Nil (the default) is the no-op sink.
 	Obs *obs.Collector
 
-	// Tap, when non-nil, is the flight-recorder seam threaded into every
-	// session this network dials, serves, or runs in process: each
-	// encoded/decoded frame (or, in process, the frame the event would
-	// put on the wire) is handed to it as raw bytes. Nil (the default)
-	// records nothing.
-	Tap transport.Tap
-
-	// OnWireError, when non-nil, is handed to ServeTCP's host as its
-	// abnormal-session hook — the serving side's postmortem-dump
-	// trigger. Must be safe for concurrent use.
-	OnWireError func(error)
+	// Observer, when non-nil, is threaded into every session this
+	// network dials, serves, or runs in process: each encoded or decoded
+	// frame (in process, the frame the event would put on the wire) is
+	// handed to it as raw bytes, and ServeTCP's host reports abnormal
+	// session deaths to it. Nil (the default) observes nothing.
+	Observer transport.Observer
 
 	compileOnce sync.Once
 	machine     *stream.Machine
@@ -584,7 +565,7 @@ func (n *Network) localSession(override map[string]*xmltree.Tree) (transport.Ses
 	for _, p := range peers {
 		srcs[p.Func] = &peerSource{peer: p, doc: override[p.Func], obs: n.Obs}
 	}
-	return &transport.InProc{Sources: srcs, Chunk: n.chunkBudget(), Tap: n.Tap}, nil
+	return &transport.InProc{Sources: srcs, Chunk: n.chunkBudget(), Observer: n.Observer}, nil
 }
 
 // session resolves the wire validation runs over: the externally dialed
@@ -650,7 +631,7 @@ func (n *Network) ResidentEstimate() int64 {
 // The host's Window caps every joining client's credit-window grant.
 func (n *Network) ServeTCP(ln net.Listener) *transport.Host {
 	return transport.NewHost(ln, transport.HostConfig{Digest: n.Digest(), Sources: n.HostSources(),
-		Window: max(n.Window, 0), Obs: n.Obs, Tap: n.Tap, OnError: n.OnWireError})
+		Window: max(n.Window, 0), Obs: n.Obs, Observer: n.Observer})
 }
 
 // DialTCP connects the kernel peer to the hosts serving its docking
@@ -666,26 +647,25 @@ func (n *Network) DialTCP(addrs map[string]string) (transport.Session, error) {
 }
 
 // dialConfig is the kernel peer's end of every session this network
-// dials: its design digest, chunk budget, credit window, obs and tap.
+// dials: its design digest, chunk budget, credit window, obs and observer.
 func (n *Network) dialConfig() (transport.Config, error) {
 	win, err := n.window()
 	if err != nil {
 		return transport.Config{}, err
 	}
-	return transport.Config{Digest: n.Digest(), Chunk: n.chunkBudget(), Window: win, Obs: n.Obs, Tap: n.Tap}, nil
+	return transport.Config{Digest: n.Digest(), Chunk: n.chunkBudget(), Window: win, Obs: n.Obs, Observer: n.Observer}, nil
 }
 
 // pipeSession serves this network's own peers on one end of a
 // transport.Pipe and dials the other: the in-process wire for live
-// sessions. The tap records the kernel peer's end only, as a capture
+// sessions. The observer sees the kernel peer's end only, as a capture
 // of a TCP join does.
 func (n *Network) pipeSession() (*transport.Conn, error) {
 	cfg, err := n.dialConfig()
 	if err != nil {
 		return nil, err
 	}
-	return transport.Pipe(transport.HostConfig{Digest: cfg.Digest, Sources: n.HostSources(), Obs: n.Obs,
-		OnError: n.OnWireError}, cfg)
+	return transport.Pipe(transport.HostConfig{Digest: cfg.Digest, Sources: n.HostSources(), Obs: n.Obs}, cfg)
 }
 
 func (n *Network) dialTCP(addrs map[string]string) (transport.LiveSession, error) {
@@ -737,8 +717,9 @@ func (n *Network) ValidateDistributedContext(ctx context.Context) (bool, error) 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type result struct {
-		m   message
-		err error
+		fn      string
+		verdict bool
+		err     error
 	}
 	ch := make(chan result, len(funcs))
 	var wg sync.WaitGroup
@@ -757,7 +738,7 @@ func (n *Network) ValidateDistributedContext(ctx context.Context) (bool, error) 
 				ch <- result{err: verr}
 				return
 			}
-			ch <- result{m: verdictMessage(fn, v)}
+			ch <- result{fn: fn, verdict: v}
 		}(f)
 	}
 	go func() {
@@ -776,8 +757,8 @@ func (n *Network) ValidateDistributedContext(ctx context.Context) (bool, error) 
 			continue
 		}
 		delivered++
-		n.Stats.addMessage(res.m.wireSize())
-		if !res.m.verdict {
+		n.Stats.addMessage(transport.EnvelopeCost(res.fn))
+		if !res.verdict {
 			all = false
 			cancel() // short-circuit the peers still running
 		}
@@ -860,7 +841,7 @@ func (n *Network) centralizedOverSession(parent context.Context, sess transport.
 			return fmt.Errorf("p2p: unknown docking point %s", fn)
 		}
 		frag := frags[i]
-		n.Stats.addMessage(len(fn) + 1) // message envelope
+		n.Stats.addMessage(transport.EnvelopeCost(fn)) // message envelope
 		f := stream.NewInnerFeeder(h)
 		for {
 			if cerr := ctx.Err(); cerr != nil {
@@ -940,7 +921,7 @@ func (n *Network) UpdatePeer(fn string, newDoc *xmltree.Tree) (admitted bool, pr
 		return false, nil, fmt.Errorf("p2p: no peer for %s", fn)
 	}
 	verdict := peer.Machine().ValidateTree(newDoc) == nil
-	n.Stats.addMessage(verdictMessage(fn, verdict).wireSize())
+	n.Stats.addMessage(transport.EnvelopeCost(fn))
 	if !verdict {
 		return false, peer.Doc, nil
 	}

@@ -233,12 +233,17 @@ type frameWriter struct {
 	vec  [2][]byte            // reused net.Buffers backing for vectored chunk writes
 	hdr  [headerSize + 4]byte // reused chunk-frame header (a local would escape via vec)
 	bufs net.Buffers          // reused WriteTo cursor (it consumes the slice in place)
-	tap  Tap                  // flight-recorder seam (nil: no-op)
-	sess uint64               // session trace ID tagged onto tapped frames
+	ob   Observer             // observation seam (nil: no-op)
+	sess uint64               // session trace ID tagged onto observed frames
 }
 
 // write encodes and writes one frame.
-func (fw *frameWriter) write(f frame) error {
+func (fw *frameWriter) write(f frame) error { return fw.writeAs(f, Control, "") }
+
+// writeAs is write with the sender's label for the observer: the kind
+// of an envelope frame only its sender can tell apart (see Kind), and
+// the docking point it concerns.
+func (fw *frameWriter) writeAs(f frame, kind Kind, fn string) error {
 	fixed, err := f.typ.fixedLen()
 	if err != nil {
 		return err
@@ -306,11 +311,8 @@ func (fw *frameWriter) write(f frame) error {
 	b = append(b, f.str...)
 	b = append(b, f.data...)
 	fw.buf = b
-	// Frames are tapped before they are written: once the bytes are on
-	// the wire the peer's answer can be read (and tapped) before this
-	// goroutine runs again, and the recording must keep causal order.
-	if fw.tap != nil {
-		fw.tap.TapFrame(TapOut, fw.sess, b, nil)
+	if fw.ob != nil { // before the write: see Observer
+		observe(fw.ob, Out, fw.sess, &f, kind, fn, b, nil)
 	}
 	_, err = fw.w.Write(b)
 	return err
@@ -330,8 +332,8 @@ func (fw *frameWriter) writeChunk(id uint32, data []byte) error {
 	binary.BigEndian.PutUint32(fw.hdr[0:4], uint32(1+4+len(data)))
 	fw.hdr[4] = byte(frameChunk)
 	binary.BigEndian.PutUint32(fw.hdr[5:9], id)
-	if fw.tap != nil { // before the write, as in write
-		fw.tap.TapFrame(TapOut, fw.sess, fw.hdr[:], data)
+	if fw.ob != nil { // before the write, as in write
+		observe(fw.ob, Out, fw.sess, &frame{typ: frameChunk, id: id, data: data}, Control, "", fw.hdr[:], data)
 	}
 	if len(data) == 0 {
 		_, err := fw.w.Write(fw.hdr[:])
@@ -352,10 +354,10 @@ type frameReader struct {
 	r    *bufio.Reader
 	buf  []byte
 	obs  *obs.Collector // decode timing sink (nil: no-op)
-	tap  Tap            // flight-recorder seam (nil: no-op)
-	sess uint64         // session trace ID tagged onto tapped frames
+	ob   Observer       // observation seam (nil: no-op)
+	sess uint64         // session trace ID tagged onto observed frames
 
-	hdr [headerSize]byte // reused frame header (a local would escape via the tap)
+	hdr [headerSize]byte // reused frame header (a local would escape via the observer)
 }
 
 func newFrameReader(r io.Reader) *frameReader {
@@ -497,8 +499,8 @@ func (fr *frameReader) read() (frame, error) {
 		f.flag = p[4]
 		f.str = string(tail)
 	}
-	if fr.tap != nil {
-		fr.tap.TapFrame(TapIn, fr.sess, hdr, p)
+	if fr.ob != nil {
+		observe(fr.ob, In, fr.sess, &f, Control, "", hdr, p)
 	}
 	fr.obs.Observe(obs.HFrameDecodeNs, fr.obs.Nanos()-start)
 	fr.obs.Add(obs.CFramesDecoded, 1)

@@ -29,26 +29,24 @@ type Router interface {
 }
 
 // Route is one admitted session's serving state: the tenant's sources,
-// an optional gate for accounting and per-stream admission, and the
-// release hook.
+// its per-stream admission gate, its observer, and the release hook.
 type Route struct {
 	// Sources maps each docking point the session may address to its
 	// peer.
 	Sources map[string]Source
-	// Gate, when non-nil, observes the session's protocol traffic and
-	// mediates its stream admissions.
+	// Gate, when non-nil, mediates the session's stream admissions.
 	Gate Gate
+	// Observer, when non-nil, observes the session's frames after the
+	// hello, beside the host's own observer: the tenant's traffic
+	// accounting.
+	Observer Observer
 	// Close, when non-nil, is called exactly once when the session ends.
 	Close func()
 }
 
-// Gate is a routed session's accounting and per-stream admission seam.
-// The host calls it from the session's serving goroutines, so
-// implementations must be safe for concurrent use; byte accounting
-// mirrors the protocol-level Stats the kernel peer keeps (verdicts and
-// fragment envelopes cost len(fn)+1, chunks cost their payload), so a
-// tenant's counters and a client's Stats agree on fully delivered
-// traffic.
+// Gate is a routed session's per-stream admission seam. The host calls
+// it from the session's serving goroutines, so implementations must be
+// safe for concurrent use.
 type Gate interface {
 	// OpenStream is called before a fragment or subscription stream is
 	// served; a non-nil error refuses the stream (a stream error frame,
@@ -60,22 +58,6 @@ type Gate interface {
 	// under the same cap at once.
 	OpenStream(fn string) error
 	CloseStream(fn string)
-	// VerdictServed records one answered (non-canceled) verdict request.
-	// It is called before the verdict frame is written, so a client that
-	// has read the verdict finds it counted.
-	VerdictServed(fn string)
-	// ChunkShipped records one chunk frame's payload bytes (fragment or
-	// snapshot).
-	ChunkShipped(bytes int)
-	// FragmentDelivered records one fully delivered fragment: every
-	// chunk was sent, and it is called just before the End frame is
-	// written.
-	FragmentDelivered(fn string)
-	// EditShipped records one edit frame's wire size.
-	EditShipped(bytes int)
-	// Resumed records one admitted resume subscription (a reconnecting
-	// kernel peer catching up).
-	Resumed(fn string)
 }
 
 // HostConfig parameterizes a peer host.
@@ -109,19 +91,15 @@ type HostConfig struct {
 	// per-session lifecycle spans tagged with the trace ID each hello
 	// carries. Nil (the default) is the no-op sink.
 	Obs *obs.Collector
-	// Tap, when non-nil, observes every frame every session writes or
-	// reads, as raw wire bytes tagged with the session's trace ID — the
-	// flight-recorder seam. One tap is shared across all sessions, so
-	// implementations must be safe for concurrent use. Nil (the
-	// default) costs the hot paths one nil check and nothing else.
-	Tap Tap
-	// OnError, when non-nil, is called whenever a session dies
-	// abnormally: a refused hello, a liveness timeout, a codec error on
-	// garbage bytes, an injected fault. Clean closes (EOF between
-	// frames, a torn-down listener) do not fire it. It is the host's
-	// postmortem-dump trigger; it is called from session goroutines and
-	// must be safe for concurrent use.
-	OnError func(error)
+	// Observer, when non-nil, observes every frame every session writes
+	// or reads, as raw wire bytes tagged with the session's trace ID,
+	// and every abnormal session death as a Failed event: a refused
+	// hello, a liveness timeout, a codec error on garbage bytes, an
+	// injected fault. Clean closes (EOF between frames, a torn-down
+	// listener) are not failures. One observer is shared across all
+	// sessions. Nil (the default) costs the hot paths one nil check and
+	// nothing else.
+	Observer Observer
 }
 
 // route resolves a hello digest against the config: the router when one
@@ -265,17 +243,20 @@ type session struct {
 	wg       sync.WaitGroup
 }
 
-// send writes one frame under the write lock, with the liveness
+func (s *session) send(f frame) error { return s.sendAs(f, Control, "") }
+
+// sendAs writes one frame under the write lock, with the liveness
 // deadline armed: a client that stops draining its socket fails the
 // write in bounded time instead of parking a stream goroutine forever.
-func (s *session) send(f frame) error {
+// kind and fn label the frame for the observer (frameWriter.writeAs).
+func (s *session) sendAs(f frame, kind Kind, fn string) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if s.timeout > 0 {
 		s.c.SetWriteDeadline(time.Now().Add(s.timeout))
 	}
 	start := s.obs.Nanos()
-	if err := s.fw.write(f); err != nil {
+	if err := s.fw.writeAs(f, kind, fn); err != nil {
 		if isTimeout(err) {
 			return &TimeoutError{Op: "write", After: s.timeout}
 		}
@@ -293,19 +274,16 @@ func (s *session) armReadDeadline() {
 	}
 }
 
-// reportErr surfaces one session's abnormal death to the host's
-// OnError hook. Clean closes are filtered here — EOF between frames
-// and a closed listener are how every healthy session ends — so the
-// hook only ever sees genuine failures: timeouts, codec errors on
-// garbage bytes, refusals, injected faults, resets.
-func (h *Host) reportErr(err error) {
-	if err == nil || h.cfg.OnError == nil {
+// fail reports the session's abnormal death to its observer as a Failed
+// event. Clean closes are filtered here — EOF between frames and a
+// closed listener are how every healthy session ends — so observers
+// only ever see genuine failures: timeouts, codec errors on garbage
+// bytes, refusals, injected faults, resets.
+func (s *session) fail(err error) {
+	if s.fw.ob == nil || errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 		return
 	}
-	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-		return
-	}
-	h.cfg.OnError(err)
+	s.fw.ob.Observe(Event{Kind: Failed, Sess: s.trace, Err: err})
 }
 
 func (h *Host) serveSession(c net.Conn) {
@@ -314,10 +292,10 @@ func (h *Host) serveSession(c net.Conn) {
 		timeout: resolveLiveness(h.cfg.Timeout, DefaultTimeout),
 		streams: map[uint32]*hostStream{}, verdicts: map[uint32]context.CancelFunc{},
 		lives: map[uint32]LiveFeedSrc{}, obs: h.cfg.Obs}
-	s.fw.tap = h.cfg.Tap
+	s.fw.ob = h.cfg.Observer
 	fr := newFrameReader(c)
 	fr.obs = h.cfg.Obs
-	fr.tap = h.cfg.Tap
+	fr.ob = h.cfg.Observer
 	s.armReadDeadline()
 	helloStart := spanClock(s.obs)
 	hello, err := fr.read()
@@ -325,7 +303,7 @@ func (h *Host) serveSession(c net.Conn) {
 		if err == nil {
 			err = codecErrf("transport: expected hello, got frame type %d", hello.typ)
 		}
-		h.reportErr(err)
+		s.fail(err)
 		s.send(frame{typ: frameError, str: "expected hello"})
 		return
 	}
@@ -339,7 +317,7 @@ func (h *Host) serveSession(c net.Conn) {
 	route, rerr := h.cfg.route(hello.data)
 	s.obs.Observe(obs.HAdmissionNs, s.obs.Nanos()-admitStart)
 	if rerr != nil {
-		h.reportErr(rerr)
+		s.fail(rerr)
 		s.obs.Add(obs.CRefusals, 1)
 		// A refusal is typed on the wire (unknown design, over
 		// capacity) so the dialing peer can tell "back off and retry"
@@ -357,6 +335,8 @@ func (h *Host) serveSession(c net.Conn) {
 		defer route.Close()
 	}
 	s.sources, s.gate = route.Sources, route.Gate
+	s.fw.ob = join(s.fw.ob, route.Observer)
+	fr.ob = s.fw.ob
 	budget := budgetFromWire(hello.id)
 	// The effective credit window: the client's hello grant clamped to
 	// [1, maxWindow] and to the host's own cap. Hostile grants (zero, or
@@ -378,7 +358,7 @@ func (h *Host) serveSession(c net.Conn) {
 			if isTimeout(err) {
 				err = &TimeoutError{Op: "read", After: s.timeout}
 			}
-			h.reportErr(err)
+			s.fail(err)
 			break
 		}
 		switch f.typ {
@@ -420,11 +400,7 @@ func (h *Host) serveSession(c net.Conn) {
 				if canceled {
 					return
 				}
-				// Counted before the write, like a delivered fragment.
-				if s.gate != nil {
-					s.gate.VerdictServed(fn)
-				}
-				if s.send(frame{typ: frameVerdict, id: id, flag: v}) == nil {
+				if s.sendAs(frame{typ: frameVerdict, id: id, flag: v}, Verdict, fn) == nil {
 					s.obs.Span(obs.Span{Trace: s.trace, Name: "verdict", Frag: fn, Start: start, End: spanClock(s.obs)})
 				}
 			}(f.id, f.str)
@@ -487,15 +463,16 @@ func (h *Host) serveSession(c net.Conn) {
 				s.streamErr(f.id, err)
 				continue
 			}
-			if f.typ == frameResume && s.gate != nil {
-				s.gate.Resumed(f.str)
+			kind := Subscribed
+			if f.typ == frameResume {
+				kind = Resumed
 			}
 			s.mu.Lock()
 			s.streams[f.id] = st
 			s.lives[f.id] = lf
 			s.mu.Unlock()
 			s.wg.Add(1)
-			go s.serveLive(sctx, f.id, st, lf, budget, win, resumed)
+			go s.serveLive(sctx, f.id, st, lf, budget, win, kind, resumed)
 
 		case frameAck:
 			s.mu.Lock()
@@ -628,13 +605,8 @@ func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, s
 		Start: chunksStart, Bytes: st.sentBytes, N: int64(st.sentChunks)}
 	switch {
 	case err == nil:
-		// Counted before the End frame is written: a client that has read
-		// the End must find the fragment counted.
-		if s.gate != nil {
-			s.gate.FragmentDelivered(fn)
-		}
 		s.releaseSlot(st)
-		s.send(frame{typ: frameEnd, id: id})
+		s.sendAs(frame{typ: frameEnd, id: id}, Delivered, fn)
 	case sctx.Err() != nil:
 		// Rejected or torn down: the receiver is not listening.
 		span.Err = "rejected"
@@ -689,9 +661,6 @@ func (s *session) creditedSend(sctx context.Context, id uint32, st *hostStream, 
 		if err := s.sendChunk(id, chunk); err != nil {
 			return err
 		}
-		if s.gate != nil {
-			s.gate.ChunkShipped(len(chunk))
-		}
 		if st.sendNs != nil {
 			s.obs.Add(obs.CChunksSent, 1)
 			s.obs.Observe(obs.HChunkBytes, int64(len(chunk)))
@@ -730,8 +699,9 @@ func (s *session) sendChunk(id uint32, chunk []byte) error {
 // cancels sctx and the loop exits at the next handoff. A resumed
 // subscription's snapshot is empty (the subscriber kept its replica),
 // so the phase structure is unchanged: subscribed, zero chunks, end,
-// edits from the announced version on.
-func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf LiveFeedSrc, budget, win int, resumed bool) {
+// edits from the announced version on. kind labels the subscribed frame
+// for the observer: Subscribed, or Resumed for a resume request.
+func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf LiveFeedSrc, budget, win int, kind Kind, resumed bool) {
 	defer s.wg.Done()
 	defer st.cancel()
 	defer s.releaseSlot(st)
@@ -748,7 +718,8 @@ func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf 
 	}
 	snap, err := serialized(lf)
 	if err == nil {
-		if err := s.send(frame{typ: frameSubscribed, id: id, ver: lf.Version(), size: uint64(len(snap)), flag: rflag, win: uint32(win)}); err != nil {
+		if err := s.sendAs(frame{typ: frameSubscribed, id: id, ver: lf.Version(), size: uint64(len(snap)), flag: rflag, win: uint32(win)},
+			kind, st.fn); err != nil {
 			return
 		}
 		err = shipChunks(snap, budget, s.creditedSend(sctx, id, st, win))
@@ -776,9 +747,6 @@ func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf 
 		pos = e.Version
 		if err := s.send(frame{typ: frameEdit, id: id, ver: e.Version, flag: e.Op, addr: e.Addr, data: e.Doc}); err != nil {
 			return
-		}
-		if s.gate != nil {
-			s.gate.EditShipped(e.WireSize())
 		}
 		select {
 		case <-st.editAck:

@@ -29,53 +29,36 @@ type InProc struct {
 	// Chunk is the resolved chunk budget in bytes (math.MaxInt for
 	// unchunked); it must be positive.
 	Chunk int
-	// Tap, when non-nil, observes the session's protocol events as
+	// Observer, when non-nil, observes the session's protocol events as
 	// synthesized wire frames: in-process transfers exchange no bytes,
-	// so the tap encodes the frame each event *would* put on the TCP
-	// wire (open, begin, chunks, end, verdicts, rejects) and hands it
-	// over — the same capture format both transports then share. The
-	// begin frame announces a window of 0: no credit window applies in
-	// process. The session's tag is a trace ID minted at the first
-	// tapped frame. Nil (the default) costs one nil check per event and
-	// nothing else.
-	Tap Tap
+	// so each event is encoded as the frame it *would* put on the TCP
+	// wire (open, begin, chunks, end, verdicts, rejects), and captures
+	// of both transports share one format. The begin frame announces a
+	// window of 0: no credit window applies in process. The session's
+	// trace ID is minted at the first observed frame. Nil (the default)
+	// costs one nil check per event and nothing else.
+	Observer Observer
 
-	tapMu   sync.Mutex // serializes the lazily-built tap encoder
-	tapEnc  *frameWriter
-	tapDest tapSink
-	nextID  atomic.Uint32
+	mu     sync.Mutex   // serializes the lazily-built encoder and its buffer's observer
+	enc    *frameWriter // encodes observed frames into its buffer
+	sess   uint64       // trace ID, minted with the encoder
+	nextID atomic.Uint32
 }
 
-// tapSink adapts a Tap to the frame encoder: every encoded frame's
-// bytes are handed to the tap as one head slice. The caller sets dir
-// per frame under the InProc tap mutex.
-type tapSink struct {
-	tap  Tap
-	dir  TapDir
-	sess uint64
-}
-
-func (s *tapSink) Write(p []byte) (int, error) {
-	s.tap.TapFrame(s.dir, s.sess, p, nil)
-	return len(p), nil
-}
-
-// tapFrame encodes one synthesized frame into the tap; a no-op without
-// a tap. Chunk frames go through the general encoder, not the vectored
-// writeChunk — net.Buffers on a non-socket writer would split the
-// header and payload into two tap events.
-func (s *InProc) tapFrame(dir TapDir, f frame) {
-	if s.Tap == nil {
+// observe encodes one synthesized frame and hands it to the observer;
+// a no-op without one. Chunk frames go through the general encoder, so
+// each frame is observed as one head slice.
+func (s *InProc) observe(dir Dir, f frame) {
+	if s.Observer == nil {
 		return
 	}
-	s.tapMu.Lock()
-	defer s.tapMu.Unlock()
-	if s.tapEnc == nil {
-		s.tapDest = tapSink{tap: s.Tap, sess: obs.NewTraceID()}
-		s.tapEnc = &frameWriter{w: &s.tapDest}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.enc == nil {
+		s.enc, s.sess = &frameWriter{w: io.Discard}, obs.NewTraceID()
 	}
-	s.tapDest.dir = dir
-	s.tapEnc.write(f)
+	s.enc.write(f)
+	observe(s.Observer, dir, s.sess, &f, Control, "", s.enc.buf, nil)
 }
 
 func (s *InProc) source(fn string) (Source, error) {
@@ -93,17 +76,17 @@ func (s *InProc) Verdict(ctx context.Context, fn string) (bool, error) {
 		return false, err
 	}
 	id := s.nextID.Add(1)
-	s.tapFrame(TapOut, frame{typ: frameVerdictReq, id: id, str: fn})
+	s.observe(Out, frame{typ: frameVerdictReq, id: id, str: fn})
 	v := src.Verdict(ctx)
 	if err := ctx.Err(); err != nil {
-		s.tapFrame(TapOut, frame{typ: frameVerdictCancel, id: id})
+		s.observe(Out, frame{typ: frameVerdictCancel, id: id})
 		return false, err
 	}
 	flag := byte(0)
 	if v {
 		flag = 1
 	}
-	s.tapFrame(TapIn, frame{typ: frameVerdict, id: id, flag: flag})
+	s.observe(In, frame{typ: frameVerdict, id: id, flag: flag})
 	return v, nil
 }
 
@@ -118,13 +101,13 @@ func (s *InProc) Open(ctx context.Context, fn string) (Fragment, error) {
 		return nil, err
 	}
 	id := s.nextID.Add(1)
-	s.tapFrame(TapOut, frame{typ: frameOpen, id: id, str: fn})
+	s.observe(Out, frame{typ: frameOpen, id: id, str: fn})
 	doc, err := serialized(src)
 	if err != nil {
-		s.tapFrame(TapIn, frame{typ: frameStreamErr, id: id, str: err.Error()})
+		s.observe(In, frame{typ: frameStreamErr, id: id, str: err.Error()})
 		return nil, fmt.Errorf("transport: open %s: %w", fn, err)
 	}
-	s.tapFrame(TapIn, frame{typ: frameBegin, id: id, size: uint64(len(doc))})
+	s.observe(In, frame{typ: frameBegin, id: id, size: uint64(len(doc))})
 	return &inprocFragment{sess: s, id: id, doc: doc}, nil
 }
 
@@ -149,19 +132,19 @@ func (f *inprocFragment) Next() ([]byte, error) {
 	if f.off == len(f.doc) {
 		if !f.ended {
 			f.ended = true
-			f.sess.tapFrame(TapIn, frame{typ: frameEnd, id: f.id})
+			f.sess.observe(In, frame{typ: frameEnd, id: f.id})
 		}
 		return nil, io.EOF
 	}
 	chunk := nextChunk(f.doc, f.off, f.sess.Chunk)
 	f.off += len(chunk)
-	f.sess.tapFrame(TapIn, frame{typ: frameChunk, id: f.id, data: chunk})
+	f.sess.observe(In, frame{typ: frameChunk, id: f.id, data: chunk})
 	return chunk, nil
 }
 
 func (f *inprocFragment) Abort() {
 	if !f.aborted {
 		f.aborted = true
-		f.sess.tapFrame(TapOut, frame{typ: frameReject, id: f.id, str: "rejected by receiver"})
+		f.sess.observe(Out, frame{typ: frameReject, id: f.id, str: "rejected by receiver"})
 	}
 }

@@ -36,6 +36,10 @@ func (e EditFrame) WireSize() int {
 	return 16 + 8*len(e.Addr) + len(e.Doc)
 }
 
+// VerdictUpdateCost is the protocol byte cost of one verdict update
+// (type, stream id, version and verdict), identical on every wire.
+const VerdictUpdateCost = 14
+
 // LiveSource is a Source whose document is editable: it can open an
 // atomic cut of its state for a subscriber, and continue an earlier
 // subscriber's feed by log suffix. Hosted docking points implement it

@@ -130,7 +130,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 }
 
 // ringTap is the bench's stand-in for the flight recorder's ring: it
-// copies every tapped frame into a fixed set of reusable slots. It
+// copies every observed frame into a fixed set of reusable slots. It
 // lives here because transport cannot import internal/flight (cycle),
 // but it performs the same work — copy head+tail into a bounded buffer
 // under a lock — so the "recording" bench variant prices the real seam.
@@ -140,12 +140,12 @@ type ringTap struct {
 	n     uint64
 }
 
-func (r *ringTap) TapFrame(dir TapDir, sess uint64, head, tail []byte) {
+func (r *ringTap) Observe(ev Event) {
 	r.mu.Lock()
 	i := r.n % uint64(len(r.slots))
 	buf := r.slots[i][:0]
-	buf = append(buf, head...)
-	buf = append(buf, tail...)
+	buf = append(buf, ev.Head...)
+	buf = append(buf, ev.Tail...)
 	r.slots[i] = buf
 	r.n++
 	r.mu.Unlock()
@@ -153,10 +153,10 @@ func (r *ringTap) TapFrame(dir TapDir, sess uint64, head, tail []byte) {
 
 // benchChunkPath drives the wire's per-chunk hot path — the vectored
 // writeChunk onto a real TCP conn plus the exact telemetry sequence
-// creditedSend performs around it — under a given collector and tap.
-// With c == nil this is the no-op sink the overhead gate compares
-// against; the nil-tap variants must stay at 0 allocs/op.
-func benchChunkPath(b *testing.B, c *obs.Collector, tap Tap) {
+// creditedSend performs around it — under a given collector and
+// observer. With c == nil this is the no-op sink the overhead gate
+// compares against; the nil-observer variants must stay at 0 allocs/op.
+func benchChunkPath(b *testing.B, c *obs.Collector, ob Observer) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -176,7 +176,7 @@ func benchChunkPath(b *testing.B, c *obs.Collector, tap Tap) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fw := &frameWriter{w: conn, tap: tap}
+	fw := &frameWriter{w: conn, ob: ob}
 	chunk := blob(4096)
 	const win = 32
 	var ring []atomic.Int64
@@ -210,10 +210,10 @@ func benchChunkPath(b *testing.B, c *obs.Collector, tap Tap) {
 
 // BenchmarkObsOverhead is the telemetry overhead gate: the instrumented
 // chunk path against the no-op sink, both allocation-free with a nil
-// tap. CI compares the throughputs and fails the build if
-// instrumentation costs more than a few percent, or if either nil-tap
-// path allocates. The "recording" variant additionally prices the
-// flight-recorder seam live — copying every frame into a bounded ring —
+// observer. CI compares the throughputs and fails the build if
+// instrumentation costs more than a few percent, or if either
+// nil-observer path allocates. The "recording" variant additionally
+// prices the observer seam live — copying every frame into a bounded ring —
 // and is reported for EXPERIMENTS.md, not gated.
 func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("noop", func(b *testing.B) { benchChunkPath(b, nil, nil) })

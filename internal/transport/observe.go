@@ -6,38 +6,106 @@ import (
 	"fmt"
 )
 
-// TapDir is the direction of a tapped frame relative to the tapping
-// process: TapOut frames left it, TapIn frames arrived.
-type TapDir uint8
+// Observer is the wire's one observation seam: it receives one Event
+// per frame a session writes or reads and one per abnormal session
+// death. The flight recorder, the postmortem trigger and a multi-tenant
+// host's traffic counters are reducers over these events, so a host
+// counts exactly what it captures. A nil Observer costs the hot paths
+// one nil check. Implementations must be safe for concurrent use: a
+// session emits from its read and write goroutines at once, and a host
+// shares its observer across sessions. Outgoing frames are observed
+// before they are written, so recordings keep causal order and a client
+// that has read a frame finds it counted.
+type Observer interface {
+	Observe(Event)
+}
+
+// Event is one observed frame or session failure. Head and Tail are
+// the frame's exact wire bytes (Tail is set only when the frame was
+// written or read in two parts); they alias reused codec buffers and
+// are valid only during the call, so an observer that keeps them must
+// copy.
+type Event struct {
+	Kind       Kind
+	Dir        Dir
+	Sess       uint64 // session trace ID (zero before the hello established one)
+	Stream     uint32 // stream or request id
+	Fn         string // docking point, on the kinds the sender labels
+	Cost       int    // protocol byte cost, as p2p.Stats counts it
+	Head, Tail []byte
+	Err        error // why the session died (Failed only)
+}
+
+// Kind says what an Event is. Chunk through VerdictUpdate are the
+// traffic p2p.Stats counts. Verdict, Delivered, Subscribed and Resumed
+// label envelope frames only their sender can tell apart; a receiver
+// observes them as Control.
+type Kind uint8
 
 const (
-	TapOut TapDir = iota
-	TapIn
+	Control       Kind = iota // a frame the protocol does not count
+	Chunk                     // a fragment or snapshot chunk: one frame, its payload
+	Verdict                   // an answered verdict request: one message, EnvelopeCost
+	Delivered                 // a delivered fragment's end frame: one message, EnvelopeCost
+	Subscribed                // a fresh subscription's announcement: one message, EnvelopeCost
+	Resumed                   // a resumed subscription's announcement: recovery, no cost
+	Edit                      // a live edit: one message, EditFrame.WireSize
+	VerdictUpdate             // a global verdict after an edit: one message, VerdictUpdateCost
+	Failed                    // an abnormal session death (not a clean close): no frame
 )
 
-func (d TapDir) String() string {
-	if d == TapIn {
+// Dir is the direction of an observed frame relative to the observing
+// process: Out frames left it, In frames arrived.
+type Dir uint8
+
+const (
+	Out Dir = iota
+	In
+)
+
+func (d Dir) String() string {
+	if d == In {
 		return "in"
 	}
 	return "out"
 }
 
-// Tap observes every frame a session encodes or decodes, as raw wire
-// bytes. It is the flight-recorder seam: a nil tap costs the hot paths
-// one nil check and nothing else — the same discipline as a nil
-// obs.Collector.
-//
-// head and tail together are the exact bytes on the wire (tail is
-// non-empty only when the frame was assembled or decoded in two parts:
-// the vectored chunk write's header+payload, or the reader's
-// header+payload split). Both slices alias reused codec buffers and are
-// valid only for the duration of the call — an implementation that
-// retains the frame must copy. sess is the session's trace ID (zero
-// before the hello established one). Implementations must be safe for
-// concurrent use: one session taps from its read and write goroutines
-// at once, and a host shares one tap across every session.
-type Tap interface {
-	TapFrame(dir TapDir, sess uint64, head, tail []byte)
+// EnvelopeCost is the protocol byte cost of a verdict and of a
+// fragment's or subscription's envelope.
+func EnvelopeCost(fn string) int { return len(fn) + 1 }
+
+// observe hands o the event of frame f crossing the wire as head and
+// tail: classed by its type, or by its sender's label kind.
+func observe(o Observer, dir Dir, sess uint64, f *frame, kind Kind, fn string, head, tail []byte) {
+	ev := Event{Kind: kind, Dir: dir, Sess: sess, Stream: f.id, Fn: fn, Head: head, Tail: tail}
+	switch {
+	case f.typ == frameChunk:
+		ev.Kind, ev.Cost = Chunk, len(f.data)
+	case f.typ == frameEdit:
+		ev.Kind, ev.Cost = Edit, EditFrame{Addr: f.addr, Doc: f.data}.WireSize()
+	case f.typ == frameVerdictUpdate:
+		ev.Kind, ev.Cost = VerdictUpdate, VerdictUpdateCost
+	case kind == Verdict || kind == Delivered || kind == Subscribed:
+		ev.Cost = EnvelopeCost(fn)
+	}
+	o.Observe(ev)
+}
+
+// observers hands each event to both members in order.
+type observers [2]Observer
+
+func (os observers) Observe(ev Event) { os[0].Observe(ev); os[1].Observe(ev) }
+
+// join is the observer handing each event to a, then b; either may be
+// nil.
+func join(a, b Observer) Observer {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	return observers{a, b}
 }
 
 // frameTypeNames maps wire frame types to the stable names DecodeFrame
@@ -108,7 +176,7 @@ func streamIDFirst(t frameType) bool {
 	return true
 }
 
-// DecodeFrame decodes one frame's wire bytes (as a Tap observed them:
+// DecodeFrame decodes one frame's wire bytes (as an Observer saw them:
 // length prefix, type byte, payload) for offline inspection. A complete
 // frame decodes through the same reader the live wire (and the codec
 // fuzzer) uses; a frame cut short by a capture's per-frame cap yields a

@@ -11,24 +11,28 @@ import (
 	"time"
 )
 
-// memTap records every tapped frame with copied bytes — the reference
-// Tap implementation for tests (the real one lives in internal/flight).
+// memTap records every observed frame with copied bytes — the
+// reference frame recorder for tests (the real one lives in
+// internal/flight).
 type memTap struct {
 	mu     sync.Mutex
 	frames []tappedFrame
 }
 
 type tappedFrame struct {
-	dir  TapDir
+	dir  Dir
 	sess uint64
 	wire []byte
 }
 
-func (m *memTap) TapFrame(dir TapDir, sess uint64, head, tail []byte) {
-	w := make([]byte, 0, len(head)+len(tail))
-	w = append(append(w, head...), tail...)
+func (m *memTap) Observe(ev Event) {
+	if ev.Kind == Failed {
+		return
+	}
+	w := make([]byte, 0, len(ev.Head)+len(ev.Tail))
+	w = append(append(w, ev.Head...), ev.Tail...)
 	m.mu.Lock()
-	m.frames = append(m.frames, tappedFrame{dir: dir, sess: sess, wire: w})
+	m.frames = append(m.frames, tappedFrame{dir: ev.Dir, sess: ev.Sess, wire: w})
 	m.mu.Unlock()
 }
 
@@ -63,9 +67,9 @@ func hasSeq(got []string, want ...string) bool {
 	return i == len(want)
 }
 
-// TestTapTCPBothDirections is the flight-recorder seam's conformance
-// test on the real wire: every frame a session writes or reads is
-// tapped, in both processes, with wire bytes that decode back to the
+// TestTapTCPBothDirections is the observer seam's conformance test on
+// the real wire: every frame a session writes or reads is observed, in
+// both processes, with wire bytes that decode back to the
 // frames the protocol actually exchanged.
 func TestTapTCPBothDirections(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -77,9 +81,9 @@ func TestTapTCPBothDirections(t *testing.T) {
 	sources := map[string]Source{"f1": &fakeSource{blob: doc, verdict: true}}
 	hostTap, clientTap := &memTap{}, &memTap{}
 
-	h := NewHost(ln, HostConfig{Digest: digest, Sources: sources, Tap: hostTap})
+	h := NewHost(ln, HostConfig{Digest: digest, Sources: sources, Observer: hostTap})
 	defer h.Close()
-	c, err := Dial(h.Addr().String(), Config{Digest: digest, Chunk: 256, Tap: clientTap})
+	c, err := Dial(h.Addr().String(), Config{Digest: digest, Chunk: 256, Observer: clientTap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +149,9 @@ func TestTapInProc(t *testing.T) {
 	doc := blob(300)
 	tap := &memTap{}
 	s := &InProc{
-		Sources: map[string]Source{"f1": &fakeSource{blob: doc, verdict: true}},
-		Chunk:   128,
-		Tap:     tap,
+		Sources:  map[string]Source{"f1": &fakeSource{blob: doc, verdict: true}},
+		Chunk:    128,
+		Observer: tap,
 	}
 	if ok, err := s.Verdict(context.Background(), "f1"); err != nil || !ok {
 		t.Fatalf("Verdict = %v, %v", ok, err)
@@ -261,9 +265,10 @@ func TestDecodeFrameGarbage(t *testing.T) {
 	}
 }
 
-// TestHostOnErrorClassifies pins the failure seam the postmortem dumper
-// hangs off: a refused hello and a garbage frame each reach OnError as
-// a typed error, while a clean close reaches it not at all.
+// TestHostOnErrorClassifies pins the failure events the postmortem
+// dumper hangs off: a refused hello and a garbage frame each reach the
+// host's observer as a Failed event with a typed error, while a clean
+// close reaches it not at all.
 func TestHostOnErrorClassifies(t *testing.T) {
 	newHost := func(t *testing.T, router Router) (*Host, chan error) {
 		t.Helper()
@@ -272,7 +277,7 @@ func TestHostOnErrorClassifies(t *testing.T) {
 			t.Fatal(err)
 		}
 		errs := make(chan error, 16)
-		h := NewHost(ln, HostConfig{Router: router, OnError: func(e error) { errs <- e }})
+		h := NewHost(ln, HostConfig{Router: router, Observer: failures(errs)})
 		t.Cleanup(func() { h.Close() })
 		return h, errs
 	}
@@ -291,10 +296,10 @@ func TestHostOnErrorClassifies(t *testing.T) {
 		select {
 		case err := <-errs:
 			if !errors.As(err, &re) {
-				t.Fatalf("OnError got %v, want a RefusedError", err)
+				t.Fatalf("Failed event carries %v, want a RefusedError", err)
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatal("refusal never reached OnError")
+			t.Fatal("refusal never reached the observer")
 		}
 	})
 
@@ -308,10 +313,10 @@ func TestHostOnErrorClassifies(t *testing.T) {
 		select {
 		case err := <-errs:
 			if !errors.Is(err, ErrCodec) {
-				t.Fatalf("OnError got %v, want ErrCodec", err)
+				t.Fatalf("Failed event carries %v, want ErrCodec", err)
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatal("codec failure never reached OnError")
+			t.Fatal("codec failure never reached the observer")
 		}
 		conn.Close()
 	})
@@ -329,4 +334,13 @@ func TestHostOnErrorClassifies(t *testing.T) {
 		case <-time.After(200 * time.Millisecond):
 		}
 	})
+}
+
+// failures forwards the error of every Failed event to a channel.
+type failures chan error
+
+func (f failures) Observe(ev Event) {
+	if ev.Kind == Failed {
+		f <- ev.Err
+	}
 }

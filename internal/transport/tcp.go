@@ -69,11 +69,11 @@ type Config struct {
 	// the trace ID minted at the hello. Nil (the default) is the no-op
 	// sink — the hot paths then pay one nil check and nothing else.
 	Obs *obs.Collector
-	// Tap, when non-nil, observes every frame this session writes or
-	// reads, as raw wire bytes tagged with the session's trace ID — the
-	// flight-recorder seam. Nil (the default) costs the hot paths one
-	// nil check and nothing else.
-	Tap Tap
+	// Observer, when non-nil, observes every frame this session writes
+	// or reads, as raw wire bytes tagged with the session's trace ID.
+	// Nil (the default) costs the hot paths one nil check and nothing
+	// else.
+	Observer Observer
 }
 
 // Conn is an established session with one peer host, over TCP (Dial)
@@ -140,7 +140,7 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 // Pipe serves hcfg's sources on one end of an in-memory connection and
 // dials the other end with cfg: a session that runs the TCP host's
 // serving loop and the TCP client's hello without a socket, so routing,
-// admission, refusals, credit windows, resume, deadlines, taps and obs
+// admission, refusals, credit windows, resume, deadlines, observers and obs
 // are those of the TCP wire. Close returns only after the host side has
 // finished, with the session's route released.
 func Pipe(hcfg HostConfig, cfg Config) (*Conn, error) {
@@ -190,7 +190,7 @@ func dialConn(nc net.Conn, cfg Config, win int) (*Conn, error) {
 		obs:       cfg.Obs,
 		trace:     obs.NewTraceID(),
 	}
-	c.fw.tap, c.fw.sess = cfg.Tap, c.trace
+	c.fw.ob, c.fw.sess = cfg.Observer, c.trace
 	c.bufPool.New = func() any { return new([]byte) }
 	helloStart := spanClock(cfg.Obs)
 	if err := c.send(frame{
@@ -206,7 +206,7 @@ func dialConn(nc net.Conn, cfg Config, win int) (*Conn, error) {
 	}
 	fr := newFrameReader(nc)
 	fr.obs = cfg.Obs
-	fr.tap, fr.sess = cfg.Tap, c.trace
+	fr.ob, fr.sess = cfg.Observer, c.trace
 	c.armReadDeadline()
 	f, err := fr.read()
 	if err != nil {

@@ -9,6 +9,11 @@
 // by direct calls, with chunks handed over as slices of the source's
 // bytes, kept because it is cheaper than the codec.
 //
+// Every wire has one observation seam: an Observer receives each frame
+// a session writes or reads (InProc synthesizes the frames its events
+// would put on the wire) and each abnormal session death, as an Event
+// that also carries the frame's protocol byte cost.
+//
 // The abstraction is asymmetric, matching the paper's model: resource
 // peers are passive *sources* (they answer verdict requests and stream
 // their document on demand), and the kernel peer drives a *session*

@@ -139,9 +139,9 @@ func TestSessionVerdicts(t *testing.T) {
 // chunkTap counts the chunk payload bytes a host writes.
 type chunkTap struct{ bytes atomic.Int64 }
 
-func (c *chunkTap) TapFrame(dir TapDir, sess uint64, head, tail []byte) {
-	if dir == TapOut && len(head) > 4 && frameType(head[4]) == frameChunk {
-		c.bytes.Add(int64(len(head) + len(tail) - 9))
+func (c *chunkTap) Observe(ev Event) {
+	if ev.Dir == Out && len(ev.Head) > 4 && frameType(ev.Head[4]) == frameChunk {
+		c.bytes.Add(int64(len(ev.Head) + len(ev.Tail) - 9))
 	}
 }
 
@@ -149,13 +149,8 @@ func (c *chunkTap) TapFrame(dir TapDir, sess uint64, head, tail []byte) {
 // host's signal that an admitted stream has ended.
 type closeGate struct{ closed chan string }
 
-func (g *closeGate) OpenStream(fn string) error  { return nil }
-func (g *closeGate) CloseStream(fn string)       { g.closed <- fn }
-func (g *closeGate) VerdictServed(fn string)     {}
-func (g *closeGate) ChunkShipped(bytes int)      {}
-func (g *closeGate) FragmentDelivered(fn string) {}
-func (g *closeGate) EditShipped(bytes int)       {}
-func (g *closeGate) Resumed(fn string)           {}
+func (g *closeGate) OpenStream(fn string) error { return nil }
+func (g *closeGate) CloseStream(fn string)      { g.closed <- fn }
 
 // gateRouter routes every session to one design's sources behind one
 // gate.
@@ -180,7 +175,7 @@ func TestSessionAbortHaltsSender(t *testing.T) {
 		t.Run(wire, func(t *testing.T) {
 			gate := &closeGate{closed: make(chan string, 1)} // one stream, released once
 			tap := &chunkTap{}
-			hcfg := HostConfig{Router: gateRouter{sources: map[string]Source{"f1": src}, gate: gate}, Tap: tap}
+			hcfg := HostConfig{Router: gateRouter{sources: map[string]Source{"f1": src}, gate: gate}, Observer: tap}
 			cfg := Config{Digest: Digest("abort"), Chunk: chunkBudget, Window: win}
 			var c *Conn
 			var err error
