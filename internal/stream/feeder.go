@@ -21,10 +21,11 @@ const (
 	fsStartTagSlash                  // '/' seen, expecting '>' (self-closing)
 	fsEndName                        // inside an end-tag name
 	fsEndTag                         // past an end-tag name, expecting '>'
-	fsBang                           // "<!" seen: comment, CDATA or DOCTYPE
+	fsBang                           // "<!" seen: comment, CDATA or declaration
 	fsComment                        // inside <!-- ... -->
 	fsCDATA                          // inside <![CDATA[ ... ]]>
-	fsDoctype                        // inside <!DOCTYPE ... > (bracket-aware)
+	fsDecl                           // inside a declaration <!DOCTYPE ... >
+	fsDeclComment                    // inside <!-- ... --> within a declaration
 	fsPI                             // inside <? ... ?>
 )
 
@@ -35,29 +36,40 @@ const (
 // caller is in control of when bytes exist — which is what lets the p2p
 // wire deliver fragments frame by frame and reject them mid-transfer.
 //
-// A start tag <name> or <name/>, and the end tag of the innermost open
-// element, that lie wholly inside the current chunk are scanned in place.
-// A resumable byte machine takes over only for markup cut by a chunk
-// boundary, and for attributes, whitespace inside tags, comments, CDATA,
-// processing instructions and DOCTYPE declarations. Both paths emit the
+// One in-chunk loop runs through the text and the tags of each chunk: a
+// start tag <name> or <name/>, and the end tag of the innermost open
+// element, that lie wholly inside the chunk are scanned in place, tag
+// after tag. A resumable byte machine takes over only for markup cut by a
+// chunk boundary, and for attributes, whitespace inside tags, comments,
+// CDATA, processing instructions and declarations. Both paths emit the
 // same events and errors, so the event stream does not depend on how the
 // document is split into chunks.
+//
+// When the handler is a Runner of a single-type Machine (Machine.NewFeeder,
+// StreamXML and NewInnerFeeder over such a runner), the Feeder validates
+// in place: a start tag that the runner accepts below the root steps the
+// parent's content DFA and pushes the child's frame, and an end tag whose
+// element is complete pops it, with no call through the Handler
+// interface; text is skipped, since Runner.Text discards it. Every other
+// event — the root, and any event the runner rejects — goes to the
+// runner's StartElement or EndElement, so each verdict and error text is
+// the one the Handler path gives.
 //
 // Memory is O(chunk + depth): the tokenizer holds one partial tag name
 // (plus the open-element stack for end-tag matching); chunks are never
 // retained across Feed calls. Each distinct start-tag spelling is
 // resolved through the handler once per Feeder and cached; an end tag is
 // matched against the open-element stack by comparing bytes, with no
-// name lookup at all. Character data, attributes, comments,
-// CDATA sections, processing instructions and DOCTYPE declarations are
-// scanned and dropped, matching the paper's structural abstraction and
-// the encoding/xml front-end's event stream on everything structural:
+// name lookup at all. Character data, attributes, comments, CDATA
+// sections, processing instructions and declarations are scanned and
+// dropped, matching the paper's structural abstraction and the
+// encoding/xml front-end's event stream on everything structural:
 // element labels (Name.Local: a name splits at its colon only when it
 // has exactly one, with both sides non-empty), end-tag matching (raw
-// names, prefix included), root-count and balance errors. Lexical
-// strictness is the one deliberate divergence — attribute syntax and
-// comment/name minutiae are tolerated rather than validated, since the
-// validator's verdict never depends on them.
+// names, prefix included), where a declaration ends, root-count and
+// balance errors. Lexical strictness is the one deliberate divergence —
+// attribute syntax and comment/name minutiae are tolerated rather than
+// validated, since the validator's verdict never depends on them.
 //
 // Feed returns a non-nil error as soon as the prefix consumed so far is
 // malformed or the handler rejects an event; the error is sticky. Close
@@ -65,7 +77,8 @@ const (
 // and, for feeders bound to a Machine, the validation verdict itself.
 type Feeder struct {
 	h    Handler
-	skip int // nesting levels whose events are suppressed (1 = fragment root)
+	run  *Runner // h, when it is a single-type Runner: validated in place
+	skip int     // nesting levels whose events are suppressed (1 = fragment root)
 
 	err      error
 	closed   bool
@@ -75,9 +88,9 @@ type Feeder struct {
 	state       feedState
 	pendingText bool                  // a text run continues past a chunk boundary
 	name        []byte                // partial tag name / "<!" discriminator
-	mark        int                   // terminator progress in comment/CDATA/PI states
-	brackets    int                   // DOCTYPE internal-subset depth
-	quote       byte                  // active attribute-value quote
+	mark        int                   // terminator progress in comment/CDATA/PI/declaration states
+	nest        int                   // '<' nesting depth inside a declaration
+	quote       byte                  // active attribute-value or declaration quote
 	depth       int                   // open elements
 	roots       int                   // top-level elements seen
 	stack       []string              // open elements' nameEntry.tag, for end-tag matching
@@ -87,7 +100,7 @@ type Feeder struct {
 
 // NewFeeder returns a Feeder that pushes one document's events into h.
 func NewFeeder(h Handler) *Feeder {
-	return &Feeder{h: h}
+	return newFeeder(h, 0)
 }
 
 // NewInnerFeeder returns a Feeder that pushes the events *inside* the
@@ -96,7 +109,18 @@ func NewFeeder(h Handler) *Feeder {
 // and end events. This is how the kernel peer splices a fragment arriving
 // chunk by chunk into its own validation run.
 func NewInnerFeeder(h Handler) *Feeder {
-	return &Feeder{h: h, skip: 1}
+	return newFeeder(h, 1)
+}
+
+// newFeeder binds a Feeder to h, validating in place when h is a
+// single-type Runner. A runner that has already failed takes the Handler
+// path, which reports its error at the first event.
+func newFeeder(h Handler, skip int) *Feeder {
+	f := &Feeder{h: h, skip: skip}
+	if r, ok := h.(*Runner); ok && r.m.singleType && r.err == nil {
+		f.run = r
+	}
+	return f
 }
 
 // NewFeeder returns a push-validation session: feed one document's bytes
@@ -157,10 +181,24 @@ func labelSlot(raw []byte) int {
 // lookup resolves a raw start-tag name, allocation-free after the first
 // occurrence of each distinct spelling.
 func (f *Feeder) lookup(raw []byte) (nameEntry, error) {
-	slot := &f.recent[labelSlot(raw)]
-	if t := slot.tag; len(t) == len(raw)+1 && string(raw) == t[:len(raw)] {
+	slot, hit := f.cached(raw)
+	if hit {
 		return *slot, nil
 	}
+	return f.miss(raw, slot)
+}
+
+// cached returns raw's slot in the label cache, and whether the slot
+// holds raw.
+func (f *Feeder) cached(raw []byte) (*nameEntry, bool) {
+	slot := &f.recent[labelSlot(raw)]
+	t := slot.tag
+	return slot, len(t) == len(raw)+1 && string(raw) == t[:len(raw)]
+}
+
+// miss resolves a name the label cache does not hold, and caches it in
+// slot.
+func (f *Feeder) miss(raw []byte, slot *nameEntry) (nameEntry, error) {
 	e, ok := f.labels[string(raw)]
 	if !ok {
 		// encoding/xml's nsname: more than one colon is not a name, and
@@ -189,6 +227,11 @@ func (f *Feeder) open(raw []byte) error {
 	if err != nil {
 		return err
 	}
+	return f.start(e)
+}
+
+// start opens an element whose name resolved to e.
+func (f *Feeder) start(e nameEntry) error {
 	if f.depth == 0 {
 		if f.roots > 0 {
 			return f.fatal("multiple roots")
@@ -222,7 +265,7 @@ func (f *Feeder) close(raw []byte) error {
 func (f *Feeder) end() error {
 	f.stack = f.stack[:len(f.stack)-1]
 	f.depth--
-	if f.depth >= f.skip {
+	if f.depth >= f.skip && (f.run == nil || !f.run.leave()) {
 		if err := f.h.EndElement(); err != nil {
 			f.err = err
 			return err
@@ -231,8 +274,9 @@ func (f *Feeder) end() error {
 	return nil
 }
 
+// text reports a text run; a runner validated in place has no use for it.
 func (f *Feeder) text() error {
-	if f.depth >= f.skip {
+	if f.depth >= f.skip && f.run == nil {
 		if err := f.h.Text(); err != nil {
 			f.err = err
 			return err
@@ -288,28 +332,8 @@ func (f *Feeder) Feed(p []byte) error {
 	for i < n {
 		switch f.state {
 		case fsText:
-			j := bytes.IndexByte(p[i:], '<')
-			if j < 0 {
-				// The run may continue in the next chunk: defer the
-				// event so a contiguous text run is one Text call no
-				// matter how the chunks split it.
-				f.pendingText = true
-				i = n
-				break
-			}
-			if j > 0 || f.pendingText {
-				f.pendingText = false
-				if err := f.text(); err != nil {
-					return err
-				}
-			}
-			i += j + 1
-			if i == n {
-				f.state = fsLT
-				break
-			}
 			var err error
-			if i, err = f.tag(p, i); err != nil {
+			if i, err = f.scan(p, i); err != nil {
 				return err
 			}
 
@@ -456,32 +480,33 @@ func (f *Feeder) Feed(p []byte) error {
 					f.mark = 0
 				}
 			default:
-				// A declaration (DOCTYPE and friends): scan to its '>',
-				// honouring an internal subset's [...] brackets and
-				// quoted literals. Replay the few bytes already
-				// buffered through the same rule.
-				f.state = fsDoctype
-				f.brackets = 0
-				f.quote = 0
-				for _, b := range f.name {
-					if done := f.doctypeByte(b); done {
-						break
-					}
+				// A declaration (DOCTYPE and friends). Replay the few
+				// bytes already buffered, but the first, through the
+				// declaration scanner: encoding/xml takes the byte
+				// after "<!" as it is.
+				f.state = fsDecl
+				f.nest, f.mark, f.quote = 0, 0, 0
+				for _, b := range f.name[1:] {
+					f.declByte(b)
 				}
 			}
 
-		case fsDoctype:
+		case fsDecl:
 			c := p[i]
 			i++
-			f.doctypeByte(c)
+			f.declByte(c)
 
-		case fsComment:
+		case fsComment, fsDeclComment:
 			// Terminator "-->"; mark counts matched terminator bytes.
 			c := p[i]
 			i++
 			switch {
 			case f.mark == 2 && c == '>':
-				f.state = fsText
+				if f.state == fsComment {
+					f.state = fsText
+				} else {
+					f.state, f.mark = fsDecl, 0
+				}
 			case c == '-':
 				if f.mark < 2 {
 					f.mark++
@@ -525,72 +550,154 @@ func (f *Feeder) Feed(p []byte) error {
 	return f.err
 }
 
-// tag reads the markup after a '<' at p[i-1], with p[i] in the chunk. A
-// start tag <name> or <name/>, or the end tag of the innermost open
-// element, that lies wholly in p is handled in place, leaving the Feeder
-// in fsText. Anything else is handed to the byte machine in the state it
-// would have reached, with the index it resumes from.
-func (f *Feeder) tag(p []byte, i int) (int, error) {
-	switch c := p[i]; {
-	case nameStart[c]:
-		e := scanName(p, i+1)
-		if e < len(p) {
-			switch p[e] {
-			case '>':
-				return e + 1, f.open(p[i:e])
-			case '/':
-				if e+1 < len(p) && p[e+1] == '>' {
-					if err := f.open(p[i:e]); err != nil {
-						return e, err
+// scan is the in-chunk loop, entered between markup at p[i]. It skips
+// text to the next '<', and handles a start tag <name> or <name/>, or the
+// end tag of the innermost open element, that lies wholly in p in place,
+// then goes on to the next, until the chunk ends or markup it cannot
+// finish in place begins. That markup it hands to the byte machine in the
+// state the machine would have reached, with the index it resumes from.
+func (f *Feeder) scan(p []byte, i int) (int, error) {
+	r := f.run
+	for {
+		// Serialized documents are indented: a short run of
+		// whitespace is cheaper to step over than to search.
+		j := i
+		for j < len(p) && isSpace(p[j]) {
+			j++
+		}
+		if j == len(p) || p[j] != '<' {
+			k := bytes.IndexByte(p[j:], '<')
+			if k < 0 {
+				// The run may continue in the next chunk: defer the
+				// event so a contiguous text run is one Text call no
+				// matter how the chunks split it.
+				f.pendingText = r == nil
+				return len(p), nil
+			}
+			j += k
+		}
+		if r == nil && (j > i || f.pendingText) {
+			f.pendingText = false
+			if err := f.text(); err != nil {
+				return i, err
+			}
+		}
+		if i = j + 1; i == len(p) {
+			f.state = fsLT
+			return i, nil
+		}
+		closing := false // the tag just read closes the innermost element
+		switch c := p[i]; {
+		case nameStart[c]:
+			e := scanName(p, i+1)
+			raw := p[i:e]
+			switch {
+			case e < len(p) && p[e] == '>':
+				i = e + 1
+			case e+1 < len(p) && p[e] == '/' && p[e+1] == '>':
+				i, closing = e+2, true
+			default:
+				f.name = append(f.name[:0], raw...)
+				f.state = fsStartName
+				return e, nil
+			}
+			slot, hit := f.cached(raw)
+			ent := *slot
+			if !hit {
+				var err error
+				if ent, err = f.miss(raw, slot); err != nil {
+					return e, err
+				}
+			}
+			// A child the runner accepts below the root steps its
+			// parent's content DFA and pushes its frame in place; the
+			// root and every rejection take StartElement. (depth > 0
+			// also passes over a suppressed fragment root: skip is at
+			// most 1.)
+			if r != nil && f.depth > 0 && len(r.st) > 0 {
+				top := &r.st[len(r.st)-1]
+				prog := &r.m.progs[top.name]
+				if uint(ent.sym) < uint(len(prog.child)) {
+					// next is defined only where the label has a
+					// child witness.
+					if next := prog.next[int(top.state)*len(prog.child)+int(ent.sym)]; next >= 0 {
+						top.state = next
+						child := prog.child[ent.sym]
+						r.st = append(r.st, stFrame{name: child, sym: ent.sym, state: r.m.progs[child].start})
+						f.stack = append(f.stack, ent.tag)
+						f.depth++
+						break
 					}
-					return e + 2, f.end()
+				}
+			}
+			if err := f.start(ent); err != nil {
+				return e, err
+			}
+		case c == '/':
+			if f.depth > 0 {
+				top := f.stack[len(f.stack)-1]
+				if e := i + 1 + len(top); e <= len(p) && string(p[i+1:e]) == top {
+					i, closing = e, true
+					break
+				}
+			}
+			f.name = f.name[:0]
+			f.state = fsEndName
+			return i + 1, nil
+		default:
+			f.state = fsLT
+			return i, nil
+		}
+		if closing {
+			// end, written out: a complete element below the root
+			// pops its frame in place; the root and every rejection
+			// take EndElement.
+			f.stack = f.stack[:len(f.stack)-1]
+			f.depth--
+			if f.depth >= f.skip && (r == nil || !r.leave()) {
+				if err := f.h.EndElement(); err != nil {
+					f.err = err
+					return i, err
 				}
 			}
 		}
-		f.name = append(f.name[:0], p[i:e]...)
-		f.state = fsStartName
-		return e, nil
-	case c == '/':
-		if f.depth > 0 {
-			top := f.stack[len(f.stack)-1]
-			if e := i + 1 + len(top); e <= len(p) && string(p[i+1:e]) == top {
-				return e, f.end()
-			}
+		if i == len(p) {
+			return i, nil
 		}
-		f.name = f.name[:0]
-		f.state = fsEndName
-		return i + 1, nil
 	}
-	f.state = fsLT
-	return i, nil
 }
 
-// doctypeByte advances the declaration scanner by one byte, reporting
-// whether the declaration ended. Quoted literals (system/public IDs,
-// entity values) are opaque: brackets and '>' inside them do not count.
-func (f *Feeder) doctypeByte(c byte) (done bool) {
-	if f.quote != 0 {
+// declByte advances the declaration scanner by one byte, by encoding/xml's
+// rule: outside quoted literals, each '<' opens a nesting level and each
+// '>' closes one, the '>' at level 0 ends the declaration, and a "<!--"
+// opens a comment that nests nothing. Brackets count for nothing.
+func (f *Feeder) declByte(c byte) {
+	if f.mark > 0 { // '<' seen: is it "<!--"?
+		if c == "<!--"[f.mark] {
+			if f.mark++; f.mark == 4 {
+				f.state = fsDeclComment
+				f.mark = 0
+			}
+			return
+		}
+		f.mark = 0
+		f.nest++
+	} else if f.quote == 0 && c == '>' && f.nest == 0 {
+		f.state = fsText
+		return
+	}
+	switch {
+	case f.quote != 0:
 		if c == f.quote {
 			f.quote = 0
 		}
-		return false
-	}
-	switch c {
-	case '"', '\'':
+	case c == '"' || c == '\'':
 		f.quote = c
-	case '[':
-		f.brackets++
-	case ']':
-		if f.brackets > 0 {
-			f.brackets--
-		}
-	case '>':
-		if f.brackets == 0 {
-			f.state = fsText
-			return true
-		}
+	case c == '>':
+		f.nest--
+	case c == '<':
+		f.mark = 1
 	}
-	return false
 }
 
 // Close declares end of input and returns the final verdict: the sticky

@@ -186,6 +186,24 @@ var malformedCorpus = []string{
 	"<!DOCTYPE a SYSTEM \"x>y\"><a/>",
 	// A stale attribute quote must not leak into a later declaration.
 	"<a attr='q'><b/></a><!DOCTYPE x>",
+	// A declaration ends where encoding/xml ends it: at the '>' that
+	// closes its outermost '<' nesting level outside quoted literals,
+	// with "<!--…-->" inside it nesting nothing and brackets counting
+	// for nothing. The first is the input FuzzFeeder found.
+	"<!0<0><00>000><a>0000</a>",
+	"<!DOCTYPE a [ <!ENTITY e '>'> ]><a/>",
+	"<!DOCTYPE a [ > ]><a/>",
+	"<!DOCTYPE a <!-- > < --> ><a/>",
+	"<!DOCTYPE a <!-- < --> ><a/>",
+	"<!DOCTYPE a <!-- c --> ><a/>",
+	"<!DOCTYPE a <!-- c --> <b> ><a/>",
+	"<!DOCTYPE a <!- > ><a/>",
+	"<!DOCTYPE a <b \"<\"> ><a/>",
+	"<!x<<>>><a/>",
+	"<!><a/>>",
+	"<!'>' ><a/>",
+	"<!DOCTYPE a <!--> --> ><a/>",
+	"<!DOCTYPE a <<!-- x -->> ><a/>",
 	"<ns:a><ns:b/></ns:a>",
 	"  <a>  <b> text </b> </a>  ",
 	"<a>&lt;entity&gt;</a>",
@@ -278,6 +296,104 @@ func TestInnerFeeder(t *testing.T) {
 	if err := feedBytes(&countHandler{}, "<r><a/>", 1, true); err == nil {
 		t.Error("truncated inner document accepted")
 	}
+
+	// Kernel mode: a fragment's forest spliced under an open kernel
+	// root, as the kernel peer validates it, gives the same verdict and
+	// error text in place as on the Handler path.
+	m := Compile(eurostatEDTD(t, schema.KindNRE))
+	if NewInnerFeeder(m.NewRunner()).run == nil || NewInnerFeeder(hiddenRunner{m.NewRunner()}).run != nil {
+		t.Fatal("only a bare single-type runner is validated in place")
+	}
+	averages := "<averages><Good/><index><value/><year/></index></averages>"
+	entry := "<nationalIndex><country/><Good/><index><value/><year/></index></nationalIndex>"
+	r := rand.New(rand.NewSource(1))
+	for _, frag := range append(runnerErrorDocs("nationalIndex", averages, entry),
+		"<f>"+averages+strings.Repeat(entry, 40)+"</f>",
+		"<f>"+averages+"</f><f/>",
+		"<f></f>",
+		"",
+	) {
+		checkInPlace(t, m, []byte(frag), "eurostat", randomSizes(r, 9), randomSizes(r, 40))
+	}
+}
+
+// runnerErrorDocs returns Eurostat documents under a root labelled
+// root: one valid, and one failing each of the runner's checks below the
+// root — an unknown label, a child its parent's witness does not allow,
+// a child that breaks the parent's content model (π), an element closed
+// with incomplete content — and a second root. As fragments spliced
+// under a kernel root, a root label the kernel root may have as a child
+// checks that the suppressed fragment root never reaches the runner.
+func runnerErrorDocs(root, averages, entry string) []string {
+	open, end := "<"+root+">", "</"+root+">"
+	return []string{
+		open + averages + entry + end,
+		open + averages + "<nationalIndex><zz/></nationalIndex>" + end,
+		open + averages + "<nationalIndex><averages/></nationalIndex>" + end,
+		open + averages + "<nationalIndex><Good/><country/></nationalIndex>" + end,
+		open + averages + "<nationalIndex><country/><Good/></nationalIndex>" + end,
+		open + averages + entry + end + open + entry + end,
+	}
+}
+
+// randomSizes draws a chunk split for feedChunks: 1–6 sizes of 1 to max
+// bytes.
+func randomSizes(r *rand.Rand, max int) []int {
+	sizes := make([]int, 1+r.Intn(6))
+	for i := range sizes {
+		sizes[i] = 1 + r.Intn(max)
+	}
+	return sizes
+}
+
+// hiddenRunner hides a Runner's type from the Feeder, which then takes
+// the Handler path for every event, as for any custom handler.
+type hiddenRunner struct{ *Runner }
+
+// pathVerdict feeds src, cut as feedChunks cuts it, to a fresh runner of
+// m and returns the verdict. With hide the events take the Handler path;
+// otherwise a single-type runner is validated in place. A non-empty
+// kernel splices src's forest under an open root of that label, as the
+// kernel peer splices a fragment at a docking point; "" feeds src as a
+// whole document.
+func pathVerdict(m *Machine, src []byte, sizes []int, hide bool, kernel string) error {
+	r := m.NewRunner()
+	defer r.Release()
+	var h Handler = r
+	if hide {
+		h = hiddenRunner{r}
+	}
+	if kernel == "" {
+		if err := feedChunks(NewFeeder(h), src, sizes); err != nil {
+			return err
+		}
+		return r.Finish()
+	}
+	if err := startElement(r, kernel); err != nil {
+		return err
+	}
+	if err := feedChunks(NewInnerFeeder(h), src, sizes); err != nil {
+		return err
+	}
+	if err := r.EndElement(); err != nil {
+		return err
+	}
+	return r.Finish()
+}
+
+// checkInPlace requires the in-place path and the Handler path to give
+// src the same verdict and byte-identical error text, fed whole, one
+// byte at a time, and cut at each of splits.
+func checkInPlace(t testing.TB, m *Machine, src []byte, kernel string, splits ...[]int) {
+	t.Helper()
+	for _, sizes := range append([][]int{nil, {1}}, splits...) {
+		got := pathVerdict(m, src, sizes, false, kernel)
+		want := pathVerdict(m, src, sizes, true, kernel)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("kernel %q, split %v on %q: in place %v, Handler path %v",
+				kernel, sizes, src, got, want)
+		}
+	}
 }
 
 // TestFeederChunkBoundaryInvariance serializes a real document, decorated
@@ -321,11 +437,30 @@ func TestFeederChunkBoundaryInvariance(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(1))
 	for range 20 {
-		sizes := make([]int, 1+r.Intn(6))
-		for i := range sizes {
-			sizes[i] = 1 + r.Intn(40)
-		}
+		sizes := randomSizes(r, 40)
 		check(fmt.Sprintf("split %v", sizes), sizes)
+	}
+
+	// The same decorations on Eurostat documents, valid and failing each
+	// runner check, validated in place and on the Handler path: every
+	// chunk size and random split gives both the same verdict and error
+	// text, whole documents and fragments spliced under a kernel root.
+	m := Compile(eurostatEDTD(t, schema.KindNRE))
+	averages := `<averages><?pi x?><Good a="1>"/><!-- c --><index ><value/><year><![CDATA[<y/>]]></year></index></averages>`
+	entry := `<x:nationalIndex><country iso='LU'/>text<Good/><index><value /><year/></index></x:nationalIndex >`
+	var splits [][]int
+	for chunk := 2; chunk <= 13; chunk++ {
+		splits = append(splits, []int{chunk})
+	}
+	for range 10 {
+		splits = append(splits, randomSizes(r, 40))
+	}
+	prolog := "<?xml version='1.0'?><!DOCTYPE eurostat [ <!ELEMENT eurostat ANY> ]>"
+	for _, doc := range runnerErrorDocs("eurostat", averages, entry) {
+		checkInPlace(t, m, []byte(prolog+doc), "", splits...)
+	}
+	for _, frag := range runnerErrorDocs("nationalIndex", averages, entry) {
+		checkInPlace(t, m, []byte(frag), "eurostat", splits...)
 	}
 }
 

@@ -31,6 +31,10 @@ func feedLog(src []byte, sizes []int) (*countHandler, error) {
 //     against the byte machine (one byte at a time);
 //   - whenever encoding/xml accepts the input, so does that Feeder, with
 //     the decoder's start/end sequence;
+//   - a runner validated in place gives the verdict and error text of
+//     the same runner behind the Handler path, whole, split and one byte
+//     at a time, for the input as a document and as a fragment spliced
+//     under an open kernel root;
 //   - malformed input fails with an error, never a panic.
 //
 // The seeds cover the cases end-tag matching and name resolution must
@@ -67,6 +71,19 @@ func FuzzFeeder(f *testing.F) {
 		"<a:></a:>",
 		"<a:b:c></a:b:c>",
 		"<:a></:a>",
+		// One seed per runner check: an unknown label, a child its
+		// parent's witness does not allow, a child that breaks the
+		// parent's content model (π), an element closed with incomplete
+		// content, and a second root.
+		"<eurostat><averages><Good/><index><zz/></index></averages></eurostat>",
+		"<eurostat><averages><country/></averages></eurostat>",
+		"<eurostat><averages><index><value/><year/></index></averages></eurostat>",
+		"<eurostat><averages><Good/></averages></eurostat>",
+		"<eurostat><averages><Good/><index><value/><year/></index></averages></eurostat><eurostat/>",
+		"<f><averages><Good/><index><value/><year/></index></averages><nationalIndex><country/><Good/></nationalIndex></f>",
+		// Declarations end where encoding/xml ends them.
+		"<!DOCTYPE a [ > ]><eurostat/>",
+		"<!DOCTYPE a <!-- > --> ><eurostat/>",
 	} {
 		f.Add([]byte(s), int64(len(s)))
 	}
@@ -74,6 +91,7 @@ func FuzzFeeder(f *testing.F) {
 		Compile(eurostatEDTD(f, schema.KindNRE)),
 		Compile(generalEDTD(f, schema.KindNRE)),
 	}
+	kernels := []string{"eurostat", "s"} // each machine's root label
 	f.Fuzz(func(t *testing.T, src []byte, seed int64) {
 		if len(src) > 1<<12 {
 			return // one-byte feeding of every input: keep each run short
@@ -100,7 +118,9 @@ func FuzzFeeder(f *testing.F) {
 			}
 		}
 		tree, oerr := xmltree.ParseXML(string(src))
-		for _, m := range machines {
+		for k, m := range machines {
+			checkInPlace(t, m, src, "", sizes)
+			checkInPlace(t, m, src, kernels[k], sizes)
 			whole := feedChunks(m.NewFeeder(), src, nil)
 			for _, split := range [][]int{sizes, {1}} {
 				got := feedChunks(m.NewFeeder(), src, split)

@@ -38,10 +38,9 @@ type genFrame struct {
 // point of pooling is that many goroutines each hold their own Runner
 // over one shared Machine.
 type Runner struct {
-	m      *Machine
-	err    error
-	done   bool  // the root element has closed
-	events int64 // parse events consumed since the last reset
+	m    *Machine
+	err  error
+	done bool // the root element has closed
 
 	st   []stFrame
 	gst  []genFrame
@@ -52,7 +51,6 @@ type Runner struct {
 func (r *Runner) reset() {
 	r.err = nil
 	r.done = false
-	r.events = 0
 	r.st = r.st[:0]
 	r.gst = r.gst[:0]
 }
@@ -110,11 +108,6 @@ func (r *Runner) fail(format string, args ...any) error {
 // Err returns the sticky validation error, if any.
 func (r *Runner) Err() error { return r.err }
 
-// Events returns how many parse events (element opens, closes, text)
-// this runner has consumed since it was obtained or last reset — the
-// denominator for events/sec telemetry.
-func (r *Runner) Events() int64 { return r.events }
-
 // Resolve returns the machine-local symbol of label, NoSym if the
 // machine does not know it. Any number of runners of one machine may
 // resolve concurrently: the tables are read-only.
@@ -124,7 +117,6 @@ func (r *Runner) Resolve(label string) Sym { return r.m.resolve(label) }
 // r.Resolve(label); a symbol outside the machine's tables counts as an
 // unknown label.
 func (r *Runner) StartElement(label string, sym Sym) error {
-	r.events++
 	if r.err != nil {
 		return r.err
 	}
@@ -166,6 +158,24 @@ func (r *Runner) startSingle(label string, sym Sym) error {
 	return nil
 }
 
+// leave is endSingle's success path below the root, for the Feeder to
+// run in place: it closes the innermost open element, reporting true, or
+// changes nothing and reports false where EndElement would fail or must
+// close the root. The Feeder calls it only on a single-type runner with
+// no sticky error.
+func (r *Runner) leave() bool {
+	n := len(r.st)
+	if n < 2 {
+		return false
+	}
+	f := &r.st[n-1]
+	if !r.m.progs[f.name].final[f.state] {
+		return false
+	}
+	r.st = r.st[:n-1]
+	return true
+}
+
 func (r *Runner) startGeneral(label string, sym Sym) error {
 	var cands []int32
 	if len(r.gst) == 0 {
@@ -201,11 +211,10 @@ func (r *Runner) startGeneral(label string, sym Sym) error {
 
 // Text consumes character data. The structural abstraction of the paper
 // drops it, so it only checks well-formedness of the event order.
-func (r *Runner) Text() error { r.events++; return r.err }
+func (r *Runner) Text() error { return r.err }
 
 // EndElement consumes an element-close event.
 func (r *Runner) EndElement() error {
-	r.events++
 	if r.err != nil {
 		return r.err
 	}

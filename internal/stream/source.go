@@ -57,7 +57,8 @@ func FeedReader(f *Feeder, r io.Reader, chunk int) error {
 // StreamXML feeds the structural events of one XML document from r into
 // h, without ever materializing a tree: memory is one read chunk plus
 // whatever h keeps per open element. Character data is forwarded as Text
-// events; comments, processing instructions and attributes are dropped,
+// events (a single-type Runner, validated in place, has it skipped);
+// comments, processing instructions and attributes are dropped,
 // matching the paper's structural abstraction. It is a thin adapter over
 // the push-parser Feeder, which network callers drive directly.
 func StreamXML(r io.Reader, h Handler) error {

@@ -48,7 +48,14 @@
 // Machine.NewFeeder binds one to a pooled Runner; NewInnerFeeder splices
 // a fragment's forest (skipping its root) into an enclosing validation —
 // the p2p wire feeds received frames straight into it, which is what
-// makes mid-transfer rejection possible. The pull front-ends are thin
+// makes mid-transfer rejection possible. A Feeder whose handler is a
+// single-type Runner validates in place, in the same loop that finds the
+// tags: a start tag the runner accepts steps the content DFA and pushes
+// a frame, a complete element pops one, and text is skipped, with no
+// Handler call; the root and every rejected event go through the
+// runner's StartElement and EndElement, which define every verdict and
+// error text. General EDTDs and custom handlers receive every event
+// through the Handler interface. The pull front-ends are thin
 // adapters over it: StreamXML/ValidateReader (io.Reader),
 // Machine.ValidateTree (an in-memory xmltree.Tree walker,
 // differential-testable against EDTD.Validate). StreamKernel walks a
