@@ -301,7 +301,9 @@ func TestInnerFeeder(t *testing.T) {
 	// root, as the kernel peer validates it, gives the same verdict and
 	// error text in place as on the Handler path.
 	m := Compile(eurostatEDTD(t, schema.KindNRE))
-	if NewInnerFeeder(m.NewRunner()).run == nil || NewInnerFeeder(hiddenRunner{m.NewRunner()}).run != nil {
+	run := m.NewRunner()
+	defer run.Release()
+	if NewInnerFeeder(run).run == nil || NewInnerFeeder(hiddenRunner{run}).run != nil {
 		t.Fatal("only a bare single-type runner is validated in place")
 	}
 	averages := "<averages><Good/><index><value/><year/></index></averages>"
