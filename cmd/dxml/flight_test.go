@@ -2,7 +2,11 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -180,6 +184,74 @@ func TestInspectCaptureFlow(t *testing.T) {
 		if !strings.Contains(out, "("+fn+")") {
 			t.Fatalf("streams section missing %s:\n%s", fn, out)
 		}
+	}
+}
+
+// TestInspectBatchedFlow: with chunk frames sent one vectored write per
+// credit grant, inspect's per-stream flow of a capture still accounts
+// every transfer's chunks and bytes — the size its begin frame
+// announced, cut by the budget — and no stream runs more chunks ahead of
+// its acks than its window.
+func TestInspectBatchedFlow(t *testing.T) {
+	const chunk, window = 16, 4
+	df, srv := startEurostatServe(t, eurostatValidDocs)
+	dir := t.TempDir()
+	rig, err := newCaptureRig(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runJoinObs(context.Background(), df, srv.host.Addr().String(),
+		nil, chunk, window, false, nil, rig); err != nil {
+		t.Fatal(err)
+	}
+	rig.close()
+	path := filepath.Join(dir, captureFileName)
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := dxml.ReadCapture(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[string]uint64{} // "sess stream" → announced size
+	for _, r := range recs {
+		if info, err := dxml.DecodeFrame(r.Wire); err == nil && info.Type == "begin" {
+			sizes[fmt.Sprintf("%016x %d", r.Sess, info.Stream)] = info.Size
+		}
+	}
+
+	out, err := RunInspect(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`(?m)^  sess (\S+) stream (\d+) \(\S+\): (\d+) chunks, (\d+) bytes, complete, peak window (\d+)/(\d+)$`)
+	flows := line.FindAllStringSubmatch(out, -1)
+	if len(flows) != len(sizes) || len(flows) == 0 {
+		t.Fatalf("%d complete flows for %d announced transfers:\n%s", len(flows), len(sizes), out)
+	}
+	multiBatch := false
+	for _, m := range flows {
+		size, ok := sizes[m[1]+" "+m[2]]
+		if !ok {
+			t.Fatalf("flow of sess %s stream %s has no begin frame", m[1], m[2])
+		}
+		chunks, _ := strconv.Atoi(m[3])
+		bytes, _ := strconv.Atoi(m[4])
+		peak, _ := strconv.Atoi(m[5])
+		win, _ := strconv.Atoi(m[6])
+		if uint64(bytes) != size || chunks != (int(size)+chunk-1)/chunk {
+			t.Fatalf("%s: %d chunks, %d bytes; announced %d bytes in %d-byte chunks", m[0], chunks, bytes, size, chunk)
+		}
+		if win != window || peak > win {
+			t.Fatalf("%s: peak window %d/%d, granted %d", m[0], peak, win, window)
+		}
+		multiBatch = multiBatch || chunks > 2*window
+	}
+	if !multiBatch {
+		t.Fatalf("no transfer spans several credit grants:\n%s", out)
 	}
 }
 

@@ -44,10 +44,12 @@
 // the receiver's last cumulative ack — window 1 degenerates to the old
 // stop-and-wait wire, wider windows hide the per-chunk round trip, and
 // backpressure and mid-transfer rejection still bound the sender
-// within one window of the receiver's consumption. The TCP hot path
-// recycles frame buffers through a sync.Pool and writes header and
-// payload in one vectored syscall, so steady-state chunk flow does not
-// allocate. Verdicts, frame counts and byte totals are identical
+// within one window of the receiver's consumption. The wire pays its
+// fixed costs per window, not per chunk: the receiver acks
+// cumulatively once every max(1, window/2) consumed chunks, and the
+// sender writes every chunk its credit allows, headers and payloads,
+// in one vectored syscall. The TCP hot path recycles frame buffers
+// through a sync.Pool, so steady-state chunk flow does not allocate. Verdicts, frame counts and byte totals are identical
 // across transports and window widths — pinned by differential tests —
 // and the `dxml serve` / `dxml join` subcommands run a federation
 // across processes from a design file.

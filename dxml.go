@@ -142,8 +142,11 @@ const (
 	Unchunked = p2p.Unchunked
 	// DefaultWindow is the credit window when Network.Window is zero:
 	// how many chunks a sender may have on the wire beyond the
-	// receiver's cumulative ack. Window 1 degenerates to stop-and-wait;
-	// the default keeps the pipe full across round trips.
+	// receiver's cumulative ack. The receiver acks once every
+	// max(1, window/2) consumed chunks, and the sender writes the chunks
+	// each ack's credit allows in one vectored write. Window 1
+	// degenerates to stop-and-wait; the default keeps the pipe full
+	// across round trips.
 	DefaultWindow = p2p.DefaultWindow
 )
 

@@ -398,9 +398,11 @@ type Network struct {
 
 	// Window is the per-stream credit window in chunks: how many unacked
 	// chunks a sender may pipeline before parking for the receiver's
-	// cumulative ack. 0 means DefaultWindow; 1 degenerates to
-	// stop-and-wait; negative is refused with ErrInvalidWindow when the
-	// session is built. It applies to the credit-windowed wires (TCP
+	// cumulative ack. The receiver acks once every max(1, Window/2)
+	// consumed chunks, and the sender writes the chunks each ack's
+	// credit allows in one vectored write. 0 means DefaultWindow; 1
+	// degenerates to stop-and-wait; negative is refused with
+	// ErrInvalidWindow when the session is built. It applies to the credit-windowed wires (TCP
 	// and Pipe sessions); the in-process wire cuts each chunk only when
 	// the kernel peer asks for it. Verdicts, message counts, and Stats
 	// byte totals are invariant under it — only latency, sender-side

@@ -315,7 +315,7 @@ func TestInnerFeeder(t *testing.T) {
 		"<f></f>",
 		"",
 	) {
-		checkInPlace(t, m, []byte(frag), "eurostat", randomSizes(r, 9), randomSizes(r, 40))
+		checkInPlace(t, m, []byte(frag), "eurostat", nil, []int{1}, randomSizes(r, 9), randomSizes(r, 40))
 	}
 }
 
@@ -384,11 +384,11 @@ func pathVerdict(m *Machine, src []byte, sizes []int, hide bool, kernel string) 
 }
 
 // checkInPlace requires the in-place path and the Handler path to give
-// src the same verdict and byte-identical error text, fed whole, one
-// byte at a time, and cut at each of splits.
+// src the same verdict and byte-identical error text, cut at each of
+// splits as feedChunks cuts it (nil feeds it whole).
 func checkInPlace(t testing.TB, m *Machine, src []byte, kernel string, splits ...[]int) {
 	t.Helper()
-	for _, sizes := range append([][]int{nil, {1}}, splits...) {
+	for _, sizes := range splits {
 		got := pathVerdict(m, src, sizes, false, kernel)
 		want := pathVerdict(m, src, sizes, true, kernel)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -450,8 +450,8 @@ func TestFeederChunkBoundaryInvariance(t *testing.T) {
 	m := Compile(eurostatEDTD(t, schema.KindNRE))
 	averages := `<averages><?pi x?><Good a="1>"/><!-- c --><index ><value/><year><![CDATA[<y/>]]></year></index></averages>`
 	entry := `<x:nationalIndex><country iso='LU'/>text<Good/><index><value /><year/></index></x:nationalIndex >`
-	var splits [][]int
-	for chunk := 2; chunk <= 13; chunk++ {
+	splits := [][]int{nil}
+	for chunk := 1; chunk <= 13; chunk++ {
 		splits = append(splits, []int{chunk})
 	}
 	for range 10 {

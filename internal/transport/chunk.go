@@ -45,15 +45,13 @@ func nextChunk(doc []byte, off, budget int) []byte {
 	return doc[off : off+min(budget, len(doc)-off)]
 }
 
-// shipChunks hands send doc's consecutive chunks, stopping at the first
-// error. An empty doc ships no chunk.
-func shipChunks(doc []byte, budget int, send func([]byte) error) error {
-	for off := 0; off < len(doc); {
-		chunk := nextChunk(doc, off, budget)
-		if err := send(chunk); err != nil {
-			return err
-		}
-		off += len(chunk)
+// chunkBatch is how many chunk frames one write carries from off: the
+// credit n, at most maxBatch, and no more than doc has left.
+func chunkBatch(doc []byte, off, budget, n int) int {
+	left := len(doc) - off
+	chunks := left / budget
+	if left%budget != 0 {
+		chunks++
 	}
-	return nil
+	return min(n, maxBatch, chunks)
 }

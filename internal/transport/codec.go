@@ -42,6 +42,17 @@ const (
 
 	// headerSize is the length prefix plus the type byte.
 	headerSize = 5
+
+	// chunkHeaderSize is a chunk frame's header: headerSize plus the
+	// stream id.
+	chunkHeaderSize = headerSize + 4
+
+	// maxBatch caps the chunk frames one vectored write carries. A batch
+	// is as large as the sender's credit, and the credit window is the
+	// peer's to grant (up to maxWindow), so the cap bounds the header and
+	// iovec scratch a session keeps; 64 frames already pay the lock,
+	// deadline and syscall once per 256 KiB at the default budget.
+	maxBatch = 64
 )
 
 // Credit-window bounds. The receiver grants the sender a per-stream
@@ -225,16 +236,16 @@ func (t frameType) fixedLen() (int, error) {
 }
 
 // frameWriter encodes frames onto one stream; callers serialize access
-// (the TCP conn holds a write mutex). The scratch buffer is reused, so
+// (the TCP conn holds a write mutex). The scratch buffers are reused, so
 // steady-state encoding is allocation-free.
 type frameWriter struct {
 	w    io.Writer
 	buf  []byte
-	vec  [2][]byte            // reused net.Buffers backing for vectored chunk writes
-	hdr  [headerSize + 4]byte // reused chunk-frame header (a local would escape via vec)
-	bufs net.Buffers          // reused WriteTo cursor (it consumes the slice in place)
-	ob   Observer             // observation seam (nil: no-op)
-	sess uint64               // session trace ID tagged onto observed frames
+	hdrs []byte      // reused chunk-frame headers, chunkHeaderSize per frame of a batch
+	vec  [][]byte    // reused net.Buffers backing for vectored chunk writes
+	bufs net.Buffers // reused WriteTo cursor (it consumes the slice in place)
+	ob   Observer    // observation seam (nil: no-op)
+	sess uint64      // session trace ID tagged onto observed frames
 }
 
 // write encodes and writes one frame.
@@ -318,33 +329,43 @@ func (fw *frameWriter) writeAs(f frame, kind Kind, fn string) error {
 	return err
 }
 
-// writeChunk writes one chunk frame with a vectored write: the 9-byte
-// header (length prefix, type, stream id) is assembled in a stack
-// buffer and handed to the socket *together with* the caller's payload
-// via net.Buffers — one writev on a TCP conn, no copy of the chunk
-// bytes into the writer's scratch. This is the wire's hot path; every
-// other frame type goes through the general write above.
-func (fw *frameWriter) writeChunk(id uint32, data []byte) error {
-	if len(data) > maxFramePayload-4 {
-		return fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte limit (chunk the transfer)",
-			len(data)+4, maxFramePayload)
+// writeChunks writes n chunk frames of stream id — doc's consecutive
+// chunks from off, cut by nextChunk (see chunkBatch for n) — with one
+// vectored write: each frame's 9-byte header (length prefix, type,
+// stream id) is assembled in the writer's reused header scratch and
+// handed to the socket *together with* its payload via net.Buffers —
+// one writev on a TCP conn, no copy of the chunk bytes. Each frame's
+// bytes are those write produces for it, and each frame is observed
+// before the write, in order. It returns the offset after the last
+// frame. This is the wire's hot path; every other frame type goes
+// through the general write above.
+func (fw *frameWriter) writeChunks(id uint32, doc []byte, off, budget, n int) (int, error) {
+	if first := min(budget, len(doc)-off); first > maxFramePayload-4 {
+		return off, fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte limit (chunk the transfer)",
+			first+4, maxFramePayload)
 	}
-	binary.BigEndian.PutUint32(fw.hdr[0:4], uint32(1+4+len(data)))
-	fw.hdr[4] = byte(frameChunk)
-	binary.BigEndian.PutUint32(fw.hdr[5:9], id)
-	if fw.ob != nil { // before the write, as in write
-		observe(fw.ob, Out, fw.sess, &frame{typ: frameChunk, id: id, data: data}, Control, "", fw.hdr[:], data)
+	if len(fw.hdrs) < n*chunkHeaderSize {
+		fw.hdrs = make([]byte, n*chunkHeaderSize)
+		fw.vec = make([][]byte, 0, 2*n)
 	}
-	if len(data) == 0 {
-		_, err := fw.w.Write(fw.hdr[:])
-		return err
+	vec := fw.vec[:0]
+	for i := range n {
+		data := nextChunk(doc, off, budget)
+		h := fw.hdrs[i*chunkHeaderSize : (i+1)*chunkHeaderSize]
+		binary.BigEndian.PutUint32(h[0:4], uint32(1+4+len(data)))
+		h[4] = byte(frameChunk)
+		binary.BigEndian.PutUint32(h[5:9], id)
+		if fw.ob != nil { // before the write, as in write
+			observe(fw.ob, Out, fw.sess, &frame{typ: frameChunk, id: id, data: data}, Control, "", h, data)
+		}
+		vec = append(vec, h, data)
+		off += len(data)
 	}
-	fw.vec[0], fw.vec[1] = fw.hdr[:], data
-	fw.bufs = net.Buffers(fw.vec[:])
+	fw.bufs = net.Buffers(vec)
 	_, err := fw.bufs.WriteTo(fw.w)
-	fw.vec[0], fw.vec[1] = nil, nil // do not pin the payload past the write
+	clear(vec) // do not pin the payloads past the write
 	fw.bufs = nil
-	return err
+	return off, err
 }
 
 // frameReader decodes frames from one stream. The payload buffer is
@@ -527,9 +548,11 @@ func wireChunk(budget int) uint32 {
 	return uint32(budget)
 }
 
-// budgetFromWire decodes it.
+// budgetFromWire decodes it. wireChunk never sends 0, and a zero
+// budget would cut empty chunks forever, so a hostile 0 is unchunked
+// too.
 func budgetFromWire(w uint32) int {
-	if w == math.MaxUint32 {
+	if w == math.MaxUint32 || w == 0 {
 		return math.MaxInt
 	}
 	return int(w)

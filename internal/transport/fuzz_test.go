@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"testing"
 )
@@ -66,7 +67,8 @@ func FuzzFrameCodec(f *testing.F) {
 // serialization written in any split reassembles to the same bytes
 // through the capture writer, every chunk except the last is exactly
 // the budget, and the chunk sequence depends only on the budget — not
-// on how the source sliced its writes.
+// on how the source sliced its writes, nor on how many frames each
+// vectored write carries (the sender's credit, 1 to 4 here).
 func FuzzChunker(f *testing.F) {
 	f.Add([]byte("<eurostat>\n  <averages/>\n</eurostat>\n"), uint8(4), uint8(3))
 	f.Add(bytes.Repeat([]byte("ab"), 300), uint8(16), uint8(1))
@@ -75,6 +77,7 @@ func FuzzChunker(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, doc []byte, budgetRaw, sliceRaw uint8) {
 		budget := int(budgetRaw)%64 + 1
+		credit := int(budgetRaw>>6) + 1
 		// slice 0 writes the document in one piece, which the capture
 		// keeps by reference; any other value splits it.
 		slice := int(sliceRaw) % 17
@@ -92,19 +95,39 @@ func FuzzChunker(f *testing.F) {
 		if slice == 0 && len(doc) > 0 && &c[0] != &doc[0] {
 			t.Fatal("a single write was copied, not kept by reference")
 		}
-		var chunks [][]byte
-		err := shipChunks(c, budget, func(chunk []byte) error {
+		// ship frames c's chunks as the host does, credit frames per
+		// write, and decodes them back off the wire.
+		ship := func(budget int) [][]byte {
+			var wire bytes.Buffer
+			fw := frameWriter{w: &wire}
+			for off := 0; off < len(c); {
+				var err error
+				if off, err = fw.writeChunks(7, c, off, budget, chunkBatch(c, off, budget, credit)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var chunks [][]byte
+			fr := newFrameReader(&wire)
+			for {
+				f, err := fr.read()
+				if err == io.EOF {
+					return chunks
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.typ != frameChunk || f.id != 7 {
+					t.Fatalf("frame type %d on stream %d, want chunks of stream 7", f.typ, f.id)
+				}
+				chunks = append(chunks, bytes.Clone(f.data))
+			}
+		}
+		chunks := ship(budget)
+		var got []byte
+		for i, chunk := range chunks {
 			if len(chunk) == 0 || len(chunk) > budget {
 				t.Fatalf("chunk of %d bytes under budget %d", len(chunk), budget)
 			}
-			chunks = append(chunks, chunk)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []byte
-		for i, chunk := range chunks {
 			if i < len(chunks)-1 && len(chunk) != budget {
 				t.Fatalf("non-final chunk %d has %d bytes, budget %d", i, len(chunk), budget)
 			}
@@ -117,15 +140,12 @@ func FuzzChunker(f *testing.F) {
 			t.Fatalf("%d chunks, want %d", len(chunks), want)
 		}
 		// Unchunked: the whole document is one chunk.
-		whole := 0
-		shipChunks(c, math.MaxInt, func(chunk []byte) error {
-			if whole++; !bytes.Equal(chunk, doc) {
-				t.Fatalf("unchunked chunk of %d bytes, want %d", len(chunk), len(doc))
-			}
-			return nil
-		})
-		if want := min(len(doc), 1); whole != want {
-			t.Fatalf("unchunked: %d chunks, want %d", whole, want)
+		whole := ship(math.MaxInt)
+		if want := min(len(doc), 1); len(whole) != want {
+			t.Fatalf("unchunked: %d chunks, want %d", len(whole), want)
+		}
+		if len(whole) == 1 && !bytes.Equal(whole[0], doc) {
+			t.Fatalf("unchunked chunk of %d bytes, want %d", len(whole[0]), len(doc))
 		}
 	})
 }

@@ -596,7 +596,7 @@ func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, s
 	}
 	chunksStart := spanClock(s.obs)
 	if err == nil {
-		err = shipChunks(doc, budget, s.creditedSend(sctx, id, st, win))
+		err = s.shipCredited(sctx, id, st, doc, budget, win)
 	}
 	s.mu.Lock()
 	delete(s.streams, id)
@@ -619,28 +619,25 @@ func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, s
 	s.obs.Span(span)
 }
 
-// creditedSend builds the chunk send callback for a credit-windowed
-// stream: park while the window is exhausted (sent − acked ≥ win), then
-// ship the chunk with a vectored header+payload write.
-func (s *session) creditedSend(sctx context.Context, id uint32, st *hostStream, win int) func([]byte) error {
-	var sent uint64
+// shipCredited ships doc's chunks on a credit-windowed stream: park
+// while the window is exhausted (sent − acked ≥ win), then ship every
+// chunk the credit allows in one batch. sctx is checked before every
+// batch, so a reject stops the sender within the credit it already had.
+func (s *session) shipCredited(sctx context.Context, id uint32, st *hostStream, doc []byte, budget, win int) error {
 	if s.obs != nil {
 		// The RTT ring exists only when instrumented: one slot per
 		// window credit, written at send, read by the read loop at ack.
 		st.sendNs = make([]atomic.Int64, win)
 	}
-	return func(chunk []byte) error {
+	for off := 0; off < len(doc); {
 		var acked uint64
 		for {
 			// A hostile client can ack more chunks than were ever sent;
 			// clamp to sent so the subtraction never wraps — an over-ack
 			// grants at most a full window, it can never park the sender
 			// forever or corrupt the credit arithmetic.
-			acked = st.acked.Load()
-			if acked > sent {
-				acked = sent
-			}
-			if sent-acked < uint64(win) {
+			acked = min(st.acked.Load(), st.sentChunks)
+			if st.sentChunks-acked < uint64(win) {
 				break
 			}
 			select {
@@ -652,42 +649,55 @@ func (s *session) creditedSend(sctx context.Context, id uint32, st *hostStream, 
 		if err := sctx.Err(); err != nil {
 			return err
 		}
-		if ring := st.sendNs; ring != nil {
-			// Occupancy is sampled before the send: how many credits were
-			// already consumed when this chunk went out.
-			s.obs.Observe(obs.HWindowOccupancy, int64(sent-acked))
-			ring[sent%uint64(len(ring))].Store(s.obs.Nanos())
-		}
-		if err := s.sendChunk(id, chunk); err != nil {
+		var err error
+		if off, err = s.sendChunks(id, st, doc, off, budget, win-int(st.sentChunks-acked), acked); err != nil {
 			return err
 		}
-		if st.sendNs != nil {
-			s.obs.Add(obs.CChunksSent, 1)
-			s.obs.Observe(obs.HChunkBytes, int64(len(chunk)))
-			st.sentBytes += int64(len(chunk))
-		}
-		sent++
-		st.sentChunks = sent
-		return nil
 	}
+	return nil
 }
 
-// sendChunk writes one chunk frame under the write lock with the
-// liveness deadline armed, using the vectored header+payload path — the
-// payload goes to the socket without an intermediate copy.
-func (s *session) sendChunk(id uint32, chunk []byte) error {
+// sendChunks writes the chunk frames of doc from off that a credit of
+// n allows (chunkBatch) under one hold of the write lock, with the
+// liveness deadline armed once, and records each chunk's telemetry: the
+// window occupancy and RTT-ring stamp before the write, the sent
+// counters after it. acked is the cumulative ack the credit was
+// computed from. It returns the offset after the last frame.
+func (s *session) sendChunks(id uint32, st *hostStream, doc []byte, off, budget, n int, acked uint64) (int, error) {
+	n = chunkBatch(doc, off, budget, n)
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if s.timeout > 0 {
 		s.c.SetWriteDeadline(time.Now().Add(s.timeout))
 	}
-	if err := s.fw.writeChunk(id, chunk); err != nil {
-		if isTimeout(err) {
-			return &TimeoutError{Op: "write", After: s.timeout}
+	sent := st.sentChunks
+	if ring := st.sendNs; ring != nil {
+		// Occupancy is sampled before the send: how many credits were
+		// already consumed when each chunk went out.
+		now := s.obs.Nanos()
+		for i := range uint64(n) {
+			s.obs.Observe(obs.HWindowOccupancy, int64(sent+i-acked))
+			ring[(sent+i)%uint64(len(ring))].Store(now)
 		}
-		return err
 	}
-	return nil
+	end, err := s.fw.writeChunks(id, doc, off, budget, n)
+	if err != nil {
+		if isTimeout(err) {
+			return end, &TimeoutError{Op: "write", After: s.timeout}
+		}
+		return end, err
+	}
+	st.sentChunks += uint64(n)
+	if st.sendNs != nil {
+		s.obs.Add(obs.CChunksSent, int64(n))
+		for o := off; o < end; {
+			c := nextChunk(doc, o, budget)
+			s.obs.Observe(obs.HChunkBytes, int64(len(c)))
+			o += len(c)
+		}
+		st.sentBytes += int64(end - off)
+	}
+	return end, nil
 }
 
 // serveLive runs one subscription: announce the snapshot cut, ship the
@@ -722,7 +732,7 @@ func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf 
 			kind, st.fn); err != nil {
 			return
 		}
-		err = shipChunks(snap, budget, s.creditedSend(sctx, id, st, win))
+		err = s.shipCredited(sctx, id, st, snap, budget, win)
 	}
 	if err != nil {
 		if sctx.Err() == nil {

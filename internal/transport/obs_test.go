@@ -151,11 +151,13 @@ func (r *ringTap) Observe(ev Event) {
 	r.mu.Unlock()
 }
 
-// benchChunkPath drives the wire's per-chunk hot path — the vectored
-// writeChunk onto a real TCP conn plus the exact telemetry sequence
-// creditedSend performs around it — under a given collector and
-// observer. With c == nil this is the no-op sink the overhead gate
-// compares against; the nil-observer variants must stay at 0 allocs/op.
+// benchChunkPath drives the wire's chunk hot path — session.sendChunks,
+// the one vectored write shipCredited makes per credit grant, with its
+// per-chunk telemetry, onto a real TCP conn — at window 32, under a
+// given collector and observer. One op is one 4 KiB chunk; chunks go out
+// in batches of 32, as a sender with a full window's credit sends them.
+// With c == nil this is the no-op sink the overhead gate compares
+// against; the nil-observer variants must stay at 0 allocs/op.
 func benchChunkPath(b *testing.B, c *obs.Collector, ob Observer) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -176,32 +178,25 @@ func benchChunkPath(b *testing.B, c *obs.Collector, ob Observer) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fw := &frameWriter{w: conn, ob: ob}
-	chunk := blob(4096)
-	const win = 32
-	var ring []atomic.Int64
+	const chunk, win = 4096, 32
+	s := &session{c: conn, fw: frameWriter{w: conn, ob: ob}, timeout: DefaultTimeout, obs: c}
+	st := newHostStream(nil, "f1")
 	if c != nil {
-		// Mirrors creditedSend: the RTT ring exists only when
-		// instrumented.
-		ring = make([]atomic.Int64, win)
+		// As shipCredited: the RTT ring exists only when instrumented.
+		st.sendNs = make([]atomic.Int64, win)
 	}
-	var sent uint64
-	b.SetBytes(int64(len(chunk)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ring != nil {
-			c.Observe(obs.HWindowOccupancy, int64(sent%win))
-			ring[sent%uint64(len(ring))].Store(c.Nanos())
-		}
-		if err := fw.writeChunk(1, chunk); err != nil {
+	doc := blob(chunk * win)
+	batch := func(n int) {
+		if _, err := s.sendChunks(1, st, doc, 0, chunk, n, st.sentChunks); err != nil {
 			b.Fatal(err)
 		}
-		if ring != nil {
-			c.Add(obs.CChunksSent, 1)
-			c.Observe(obs.HChunkBytes, int64(len(chunk)))
-		}
-		sent++
+	}
+	batch(win) // grows the session's batch scratch, once
+	b.SetBytes(chunk)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += win {
+		batch(min(win, b.N-done))
 	}
 	b.StopTimer()
 	conn.Close()

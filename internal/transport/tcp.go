@@ -475,7 +475,7 @@ func (c *Conn) Open(ctx context.Context, fn string) (Fragment, error) {
 				return nil, fmt.Errorf("transport: open %s: host announced window %d outside granted [1,%d]", fn, f.win, c.window)
 			}
 			c.obs.Span(obs.Span{Trace: c.trace, Name: "open", Frag: fn, Start: start, End: spanClock(c.obs), Bytes: int64(f.size)})
-			return &tcpFragment{conn: c, id: id, w: w, fn: fn, size: int(f.size), opened: spanClock(c.obs)}, nil
+			return &tcpFragment{conn: c, id: id, w: w, fn: fn, size: int(f.size), opened: spanClock(c.obs), acks: newAcks(f.win)}, nil
 		case frameStreamErr:
 			c.unregister(id)
 			return nil, fmt.Errorf("transport: open %s: %w", fn, streamError(f))
@@ -529,7 +529,7 @@ func (c *Conn) subscribe(ctx context.Context, fn string, after uint64, typ frame
 				c.send(frame{typ: frameReject, id: id, str: "bad window echo"})
 				return nil, fmt.Errorf("transport: subscribe %s: host announced window %d outside granted [1,%d]", fn, f.win, c.window)
 			}
-			return &tcpEditFeed{conn: c, id: id, w: w, base: f.ver, size: int(f.size), resumed: f.flag != 0}, nil
+			return &tcpEditFeed{conn: c, id: id, w: w, base: f.ver, size: int(f.size), resumed: f.flag != 0, acks: newAcks(f.win)}, nil
 		case frameStreamErr:
 			c.unregister(id)
 			return nil, fmt.Errorf("transport: subscribe %s: %w", fn, streamError(f))
@@ -557,6 +557,35 @@ func streamError(f frame) error {
 	return errors.New(f.str)
 }
 
+// acks is a receiver's cumulative-ack state for one credit-windowed
+// stream: a fragment, or a subscription's snapshot.
+type acks struct {
+	every     uint64 // ack once this many consumed chunks are unacked: max(1, window/2)
+	received  uint64 // chunks picked up so far
+	lastAcked uint64 // cumulative count in the last ack sent
+}
+
+// newAcks is the ack state for a stream whose effective window (the
+// host's begin or subscribed echo) is win.
+func newAcks(win uint32) acks { return acks{every: max(1, uint64(win)/2)} }
+
+// settle runs before the receiver waits for its next chunk: once the
+// consumed but unacked chunks reach max(1, window/2), one cumulative ack
+// replenishes the sender's credits for all of them. This cannot
+// deadlock: every wait starts with received − lastAcked < every ≤
+// window, so the awaited chunk (number received+1 ≤ lastAcked + window)
+// is always within the credit the sender already holds. Acking on the
+// next call, not on receipt, keeps rejection prompt: a receiver that
+// rejects after chunk k has never acked it. With a window of 1 this is
+// the stop-and-wait wire: one ack per chunk.
+func (a *acks) settle(c *Conn, id uint32) error {
+	if a.received-a.lastAcked < a.every {
+		return nil
+	}
+	a.lastAcked = a.received
+	return c.send(frame{typ: frameAck, id: id, ver: a.lastAcked})
+}
+
 // tcpEditFeed is the receiver side of one TCP subscription: snapshot
 // chunks first (credit-windowed and cumulatively acked like a fragment
 // transfer), then edits (stop-and-wait, acked with their version).
@@ -568,8 +597,7 @@ type tcpEditFeed struct {
 	size    int
 	resumed bool
 
-	received  uint64  // snapshot chunks picked up so far
-	lastAcked uint64  // cumulative count in the last ack sent
+	acks      acks    // snapshot chunks
 	prevChunk *[]byte // pooled buffer behind the last returned chunk
 	prevEdit  *[]byte // pooled buffer behind the last returned edit
 
@@ -596,20 +624,15 @@ func (f *tcpEditFeed) NextChunk() ([]byte, error) {
 	}
 	f.conn.release(f.prevChunk)
 	f.prevChunk = nil
-	if f.received > f.lastAcked {
-		// Cumulative ack: every consumed chunk replenishes the sender's
-		// credits; duplicates are idempotent by construction.
-		f.lastAcked = f.received
-		if err := f.conn.send(frame{typ: frameAck, id: f.id, ver: f.lastAcked}); err != nil {
-			return nil, err
-		}
+	if err := f.acks.settle(f.conn, f.id); err != nil {
+		return nil, err
 	}
 	select {
 	case d := <-f.w.ch:
 		fr := d.f
 		switch fr.typ {
 		case frameChunk:
-			f.received++
+			f.acks.received++
 			f.prevChunk = d.buf
 			return fr.data, nil
 		case frameEnd:
@@ -692,25 +715,23 @@ func (c *Conn) Close() error {
 
 // tcpFragment is the receiver side of one TCP fragment stream.
 type tcpFragment struct {
-	conn      *Conn
-	id        uint32
-	w         *waiter
-	fn        string
-	size      int
-	opened    int64   // spanClock at open, for the chunks span
-	bytes     int64   // payload bytes received so far
-	received  uint64  // chunks picked up so far
-	lastAcked uint64  // cumulative count in the last ack sent
-	prev      *[]byte // pooled buffer behind the last returned chunk
-	aborted   bool
+	conn    *Conn
+	id      uint32
+	w       *waiter
+	fn      string
+	size    int
+	opened  int64 // spanClock at open, for the chunks span
+	bytes   int64 // payload bytes received so far
+	acks    acks
+	prev    *[]byte // pooled buffer behind the last returned chunk
+	aborted bool
 }
 
 func (f *tcpFragment) Size() int { return f.size }
 
-// Next acknowledges every chunk consumed so far — a cumulative count
-// that replenishes the sender's credits — and waits for the next one.
-// Acking on the *next* call, not on receipt, is what keeps rejection
-// prompt: a receiver that rejects after chunk k has never acked it, so
+// Next acknowledges the chunks consumed so far, cumulatively, once
+// max(1, window/2) of them are unacked (acks.settle), and waits for the
+// next one. A receiver that rejects after chunk k has never acked it, so
 // the sender holds at most window-1 further chunks of credit and
 // serializes nothing past that. With a window of 1 this is exactly the
 // stop-and-wait wire: one ack per chunk, sender parked in between.
@@ -720,18 +741,15 @@ func (f *tcpFragment) Next() ([]byte, error) {
 	}
 	f.conn.release(f.prev)
 	f.prev = nil
-	if f.received > f.lastAcked {
-		f.lastAcked = f.received
-		if err := f.conn.send(frame{typ: frameAck, id: f.id, ver: f.lastAcked}); err != nil {
-			return nil, err
-		}
+	if err := f.acks.settle(f.conn, f.id); err != nil {
+		return nil, err
 	}
 	select {
 	case d := <-f.w.ch:
 		fr := d.f
 		switch fr.typ {
 		case frameChunk:
-			f.received++
+			f.acks.received++
 			f.bytes += int64(len(fr.data))
 			f.prev = d.buf
 			return fr.data, nil
@@ -740,7 +758,7 @@ func (f *tcpFragment) Next() ([]byte, error) {
 			f.conn.obs.Span(obs.Span{
 				Trace: f.conn.trace, Name: "chunks", Frag: f.fn,
 				Start: f.opened, End: spanClock(f.conn.obs),
-				Bytes: f.bytes, N: int64(f.received),
+				Bytes: f.bytes, N: int64(f.acks.received),
 			})
 			return nil, io.EOF
 		case frameStreamErr:
@@ -762,7 +780,7 @@ func (f *tcpFragment) DuplicateAck() error {
 	if f.aborted {
 		return fmt.Errorf("transport: ack on aborted stream")
 	}
-	return f.conn.send(frame{typ: frameAck, id: f.id, ver: f.lastAcked})
+	return f.conn.send(frame{typ: frameAck, id: f.id, ver: f.acks.lastAcked})
 }
 
 // Abort rejects the transfer: the reject frame halts the sender, and
@@ -776,7 +794,7 @@ func (f *tcpFragment) Abort() {
 	f.conn.obs.Span(obs.Span{
 		Trace: f.conn.trace, Name: "chunks", Frag: f.fn,
 		Start: f.opened, End: spanClock(f.conn.obs),
-		Bytes: f.bytes, N: int64(f.received), Err: "aborted",
+		Bytes: f.bytes, N: int64(f.acks.received), Err: "aborted",
 	})
 	f.conn.send(frame{typ: frameReject, id: f.id, str: "rejected by receiver"})
 }

@@ -22,9 +22,12 @@
 // hello and echoed per stream in the begin frame), the sender
 // cuts its document's serialized bytes into fixed-budget chunks —
 // slices of those bytes, never copies — and pipelines up to N of them
-// unacked with vectored writes, and cumulative acks replenish credits
-// as chunks are consumed. A window of 1 is exactly the classic
-// stop-and-wait wire. A rejection reaches the sender while at most one
+// unacked. Each credit grant costs one write: every chunk the sender's
+// credit allows goes out in one vectored write, under one lock and one
+// deadline. The receiver acks cumulatively, once every max(1, N/2)
+// consumed chunks, so one ack frame replenishes that many credits. A
+// window of 1 is exactly the classic stop-and-wait wire: one ack and
+// one write per chunk. A rejection reaches the sender while at most one
 // window of chunks is in flight, so all bytes past sent+window never
 // travel — the communication win recorded in the federation's
 // Stats.BytesSaved is real on every wire, diminished by at most

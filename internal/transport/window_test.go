@@ -1,13 +1,18 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
+	"sync"
 	"testing"
 	"time"
+
+	"dxml/internal/obs"
 )
 
 // rawClient speaks the frame protocol directly over a socket, so tests
@@ -19,7 +24,9 @@ type rawClient struct {
 	fr *frameReader
 }
 
-func dialRaw(t *testing.T, addr string, digest []byte, chunk int, win uint32) *rawClient {
+// dialRaw dials addr and says hello with the given wire chunk budget and
+// window grant, as they travel in the hello frame.
+func dialRaw(t *testing.T, addr string, digest []byte, budget, win uint32) *rawClient {
 	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -27,7 +34,7 @@ func dialRaw(t *testing.T, addr string, digest []byte, chunk int, win uint32) *r
 	}
 	t.Cleanup(func() { nc.Close() })
 	c := &rawClient{nc: nc, fw: frameWriter{w: nc}, fr: newFrameReader(nc)}
-	c.send(t, frame{typ: frameHello, flag: protocolVersion, id: wireChunk(chunk), win: win, data: digest})
+	c.send(t, frame{typ: frameHello, flag: protocolVersion, id: budget, win: win, data: digest})
 	if f := c.read(t); f.typ != frameWelcome {
 		t.Fatalf("hello answered with frame type %d", f.typ)
 	}
@@ -204,6 +211,25 @@ func TestHostileWindowGrants(t *testing.T) {
 	}
 }
 
+// TestZeroChunkBudgetIsUnchunked: a hello announcing a chunk budget of
+// 0, which no conforming client sends, gets the whole fragment in one
+// chunk, not an endless run of empty chunks.
+func TestZeroChunkBudgetIsUnchunked(t *testing.T) {
+	doc := blob(300)
+	h, digest := windowHost(t, map[string]Source{"f1": &fakeSource{blob: doc, verdict: true}}, 0)
+	c := dialRaw(t, h.Addr().String(), digest, 0, 4)
+	c.send(t, frame{typ: frameOpen, id: 1, str: "f1"})
+	if f := c.read(t); f.typ != frameBegin {
+		t.Fatalf("open answered with frame type %d", f.typ)
+	}
+	if f := c.read(t); f.typ != frameChunk || !bytes.Equal(f.data, doc) {
+		t.Fatalf("frame type %d with %d bytes, want the whole %d-byte fragment in one chunk", f.typ, len(f.data), len(doc))
+	}
+	if f := c.read(t); f.typ != frameEnd {
+		t.Fatalf("frame type %d after the only chunk, want end", f.typ)
+	}
+}
+
 // TestHostWindowCap: the host's configured cap lowers every grant, and
 // the begin frame reports the capped value.
 func TestHostWindowCap(t *testing.T) {
@@ -274,5 +300,251 @@ func TestTCPFragmentDuplicateAck(t *testing.T) {
 		if got[i] != doc[i] {
 			t.Fatalf("byte %d corrupted under duplicated acks", i)
 		}
+	}
+}
+
+// ackTap records the ack frames one side of a session observes, with
+// their cumulative counts, and signals each reject frame it sees.
+type ackTap struct {
+	mu      sync.Mutex
+	acks    map[uint32][]uint64 // stream id → cumulative counts, in order
+	rejects chan uint32
+}
+
+func newAckTap() *ackTap {
+	return &ackTap{acks: map[uint32][]uint64{}, rejects: make(chan uint32, 64)}
+}
+
+func (a *ackTap) Observe(ev Event) {
+	if ev.Kind == Failed {
+		return
+	}
+	info, err := DecodeFrame(append(append([]byte(nil), ev.Head...), ev.Tail...))
+	if err != nil {
+		return
+	}
+	switch info.Type {
+	case "ack":
+		a.mu.Lock()
+		a.acks[info.Stream] = append(a.acks[info.Stream], info.Ver)
+		a.mu.Unlock()
+	case "reject":
+		a.rejects <- info.Stream
+	}
+}
+
+func (a *ackTap) of(id uint32) []uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]uint64(nil), a.acks[id]...)
+}
+
+// wantAcks is the exact ack sequence a receiver of n chunks at window
+// win writes: one cumulative ack per max(1, win/2) consumed chunks.
+func wantAcks(n, win int) []uint64 {
+	every := max(1, win/2)
+	var want []uint64
+	for k := every; k <= n; k += every {
+		want = append(want, uint64(k))
+	}
+	return want
+}
+
+// TestAckCountByWindow pins the receiver's ack rule exactly: a TCP
+// fragment or live snapshot of n chunks, consumed to EOF at window W,
+// makes the client write ⌊n/max(1,W/2)⌋ cumulative acks, at every
+// max(1,W/2)-th chunk — one ack per chunk at W=1, the stop-and-wait
+// wire.
+func TestAckCountByWindow(t *testing.T) {
+	const chunkBudget, n = 64, 37
+	doc := blob(chunkBudget*(n-1) + 5)
+	src := newFakeLive(doc, 1)
+	h, digest := windowHost(t, map[string]Source{"f1": src}, 0)
+	for _, win := range []int{1, 2, 3, 32} {
+		t.Run(fmt.Sprintf("window=%d", win), func(t *testing.T) {
+			tap := newAckTap()
+			c, err := Dial(h.Addr().String(), Config{Digest: digest, Chunk: chunkBudget, Window: win, Observer: tap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			want := fmt.Sprint(wantAcks(n, win))
+
+			frag, err := c.Open(context.Background(), "f1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks := 0
+			for ; ; chunks++ {
+				if _, err := frag.Next(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if chunks != n {
+				t.Fatalf("fragment: %d chunks, want %d", chunks, n)
+			}
+			if got := fmt.Sprint(tap.of(frag.(*tcpFragment).id)); got != want {
+				t.Fatalf("fragment of %d chunks: acks %s, want %s", n, got, want)
+			}
+
+			feed, err := c.Subscribe(context.Background(), "f1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer feed.Close()
+			chunks = 0
+			for ; ; chunks++ {
+				if _, err := feed.NextChunk(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if chunks != n {
+				t.Fatalf("snapshot: %d chunks, want %d", chunks, n)
+			}
+			if got := fmt.Sprint(tap.of(feed.(*tcpEditFeed).id)); got != want {
+				t.Fatalf("snapshot of %d chunks: acks %s, want %s", n, got, want)
+			}
+		})
+	}
+}
+
+// TestRejectBeforeAck: a receiver that rejects after consuming k chunks
+// has never acked chunk k, at any window and any k. It is checked where
+// it matters, at the host: every ack the host read for the stream,
+// which includes the cumulative count it held when the reject arrived,
+// is below k.
+func TestRejectBeforeAck(t *testing.T) {
+	const chunkBudget, n = 64, 40
+	src := &fakeSource{blob: blob(chunkBudget * n), verdict: true}
+	for _, win := range []int{1, 2, 32} {
+		t.Run(fmt.Sprintf("window=%d", win), func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tap := newAckTap()
+			digest := Digest("reject-before-ack")
+			h := NewHost(ln, HostConfig{Digest: digest, Sources: map[string]Source{"f1": src}, Observer: tap})
+			defer h.Close()
+			c, err := Dial(h.Addr().String(), Config{Digest: digest, Chunk: chunkBudget, Window: win})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for k := 1; k < n; k++ {
+				frag, err := c.Open(context.Background(), "f1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for range k {
+					if _, err := frag.Next(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				frag.Abort()
+				id := frag.(*tcpFragment).id
+				select {
+				case got := <-tap.rejects:
+					if got != id {
+						t.Fatalf("host read a reject for stream %d, want %d", got, id)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("k=%d: the host never read the reject", k)
+				}
+				acks := tap.of(id)
+				if len(acks) > 0 && acks[len(acks)-1] >= uint64(k) {
+					t.Fatalf("k=%d: the host read acks %v before the reject, one covering the rejected chunk", k, acks)
+				}
+				if want := fmt.Sprint(wantAcks(k-1, win)); fmt.Sprint(acks) != want {
+					t.Fatalf("k=%d: host read acks %v, want %s", k, acks, want)
+				}
+			}
+		})
+	}
+}
+
+// TestBatchedSendObserved: chunks go out one vectored write per credit
+// grant, and the observer still sees each chunk frame once, in order,
+// as exactly the bytes write encodes for it; the host's chunk counters
+// count chunks, not writes. The sent count matches the chunk count; the
+// acked count cannot (the final acks reach the host after the sender
+// has finished and unregistered the stream), but the sender only
+// finishes once acks cover all but one window. An unchunked transfer is
+// one chunk.
+func TestBatchedSendObserved(t *testing.T) {
+	const win = 4
+	doc := blob(100*49 + 33)
+	for name, budget := range map[string]int{"budget=100": 100, "unchunked": math.MaxInt} {
+		t.Run(name, func(t *testing.T) {
+			n := (len(doc)-1)/min(budget, len(doc)) + 1
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tap, hostObs := &memTap{}, obs.New()
+			digest := Digest("batched-send")
+			h := NewHost(ln, HostConfig{Digest: digest, Sources: map[string]Source{"f1": &fakeSource{blob: doc, verdict: true}},
+				Observer: tap, Obs: hostObs})
+			c, err := Dial(h.Addr().String(), Config{Digest: digest, Chunk: budget, Window: win})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frag, err := c.Open(context.Background(), "f1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, err := frag.Next(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			id := frag.(*tcpFragment).id
+			c.Close()
+			h.Close() // waits for the session: every counter and event is in
+
+			var chunks, off int
+			for _, f := range tap.snapshot() {
+				info, err := DecodeFrame(f.wire)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.dir != Out || info.Type != "chunk" {
+					continue
+				}
+				want := nextChunk(doc, off, budget)
+				if info.Stream != id || !bytes.Equal(info.Data, want) {
+					t.Fatalf("chunk frame %d: stream %d, %d bytes; want stream %d, bytes %d..%d of the document",
+						chunks, info.Stream, len(info.Data), id, off, off+len(want))
+				}
+				var unbatched bytes.Buffer
+				fw := frameWriter{w: &unbatched}
+				if err := fw.write(frame{typ: frameChunk, id: id, data: want}); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(f.wire, unbatched.Bytes()) {
+					t.Fatalf("chunk frame %d: observed % x…, write encodes % x…", chunks, f.wire[:chunkHeaderSize], unbatched.Bytes()[:chunkHeaderSize])
+				}
+				chunks++
+				off += len(want)
+			}
+			if chunks != n || off != len(doc) {
+				t.Fatalf("observer saw %d chunk frames of %d bytes, want %d of %d", chunks, off, n, len(doc))
+			}
+			if sent := hostObs.Counter(obs.CChunksSent); sent != int64(n) {
+				t.Fatalf("CChunksSent = %d, want %d", sent, n)
+			}
+			if acked := hostObs.Counter(obs.CChunksAcked); acked < int64(n-win) || acked > int64(n) {
+				t.Fatalf("CChunksAcked = %d, want within [%d, %d]", acked, n-win, n)
+			}
+			if got := hostObs.Snapshot(obs.HChunkBytes); got.Count != int64(n) || got.Sum != int64(len(doc)) {
+				t.Fatalf("chunk-bytes histogram holds %d samples of %d bytes, want %d of %d", got.Count, got.Sum, n, len(doc))
+			}
+		})
 	}
 }
