@@ -21,7 +21,7 @@ import (
 // and the refusal's message.
 func TestKillDrillRefusedJoinDumpsBundle(t *testing.T) {
 	_, srv := startEurostatServe(t, eurostatValidDocs)
-	other, err := ParseDesignFile(`
+	other, err := dxml.ParseDesign(`
 class dtd
 kernel eurostat(f0 f1)
 type:
@@ -180,7 +180,7 @@ func TestInspectCaptureFlow(t *testing.T) {
 		}
 	}
 	// Every docking point's transfer appears in the flow summary.
-	for _, fn := range df.Kernel.Funcs() {
+	for _, fn := range df.Funcs() {
 		if !strings.Contains(out, "("+fn+")") {
 			t.Fatalf("streams section missing %s:\n%s", fn, out)
 		}

@@ -121,7 +121,7 @@ func startHost(cfg dxml.HostConfig, specs []string, listen, httpAddr string, cha
 		if err != nil {
 			return nil, nil, err
 		}
-		d, _, err := bundleDesign(bundle)
+		d, err := bundleDesign(bundle)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -195,39 +195,35 @@ func bundleFromSpec(spec string) (tenantBundle, error) {
 	return b, nil
 }
 
-// bundleDesign compiles a bundle into a registrable design: the bundle
-// is parsed once up front (a broken design or document is a
-// registration error, not a routing surprise) and again by Build each
-// time the design is materialized after an eviction.
-func bundleDesign(b tenantBundle) (dxml.HostDesign, []byte, error) {
+// bundleDesign compiles a bundle into a registrable design. The design
+// is parsed once, here, and every document is parsed and attached once
+// to check it: a broken design or document is a registration error, not
+// a routing surprise. Build keeps the parsed design and the document
+// texts, and parses only the documents each time the design is
+// materialized after an eviction, which exists to free them.
+func bundleDesign(b tenantBundle) (dxml.HostDesign, error) {
 	if b.Name == "" {
-		return dxml.HostDesign{}, nil, fmt.Errorf("tenant bundle needs a name")
+		return dxml.HostDesign{}, fmt.Errorf("tenant bundle needs a name")
 	}
-	n, _, err := bundleNetwork(b)
+	d, err := dxml.ParseDesign(b.Design)
+	var n *dxml.Network
+	if err == nil {
+		n, _, err = hostNetwork(d, b.Docs)
+	}
 	if err != nil {
-		return dxml.HostDesign{}, nil, fmt.Errorf("tenant %s: %w", b.Name, err)
+		return dxml.HostDesign{}, fmt.Errorf("tenant %s: %w", b.Name, err)
 	}
-	digest := n.Digest()
 	return dxml.HostDesign{
 		Name:   b.Name,
-		Digest: digest,
+		Digest: n.Digest(),
 		Build: func() (map[string]dxml.TransportSource, int64, error) {
-			n, _, err := bundleNetwork(b)
+			n, _, err := hostNetwork(d, b.Docs)
 			if err != nil {
 				return nil, 0, err
 			}
 			return n.HostSources(), n.ResidentEstimate(), nil
 		},
-	}, digest, nil
-}
-
-// bundleNetwork materializes a bundle's hosting network.
-func bundleNetwork(b tenantBundle) (*dxml.Network, []string, error) {
-	df, err := ParseDesignFile(b.Design)
-	if err != nil {
-		return nil, nil, err
-	}
-	return buildNetwork(df, b.Docs)
+	}, nil
 }
 
 // registerError is the structured body every /register failure carries:
@@ -266,7 +262,7 @@ func registerHandler(reg *dxml.HostRegistry) http.Handler {
 			writeRegisterError(w, http.StatusBadRequest, "malformed_bundle", fmt.Errorf("bad bundle: %w", err))
 			return
 		}
-		d, digest, err := bundleDesign(b)
+		d, err := bundleDesign(b)
 		if err != nil {
 			// Well-formed JSON, uncompilable content: 422, not 400.
 			writeRegisterError(w, http.StatusUnprocessableEntity, "invalid_design", err)
@@ -286,7 +282,7 @@ func registerHandler(reg *dxml.HostRegistry) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]string{
 			"name":   d.Name,
-			"digest": hex.EncodeToString(digest),
+			"digest": hex.EncodeToString(d.Digest),
 		})
 	})
 }

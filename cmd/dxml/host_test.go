@@ -46,9 +46,9 @@ func miniDocText(items int) string {
 // writeTenant writes design id's file and document under dir and
 // returns the parsed design, the host tenant spec, and the serve-style
 // assignment list for the same corpus.
-func writeTenant(t *testing.T, dir string, id, items int) (*DesignFile, string, []string) {
+func writeTenant(t *testing.T, dir string, id, items int) (*dxml.Design, string, []string) {
 	t.Helper()
-	df, err := ParseDesignFile(miniDesignText(id))
+	df, err := dxml.ParseDesign(miniDesignText(id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestHostScaleFanIn(t *testing.T) {
 		joins   = 10 // concurrent joins per design
 	)
 	dir := t.TempDir()
-	dfs := make([]*DesignFile, designs)
+	dfs := make([]*dxml.Design, designs)
 	specs := make([]string, designs)
 	want := make([]string, designs)
 	for i := 0; i < designs; i++ {
@@ -166,7 +166,7 @@ func TestHostServesEurostat(t *testing.T) {
 	if err := os.WriteFile(spec, src, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	for i, fn := range df.Kernel.Funcs() {
+	for i, fn := range df.Funcs() {
 		path := filepath.Join(dir, fn+".term")
 		if err := os.WriteFile(path, []byte(eurostatValidDocs[i]), 0o600); err != nil {
 			t.Fatal(err)
@@ -330,15 +330,11 @@ func TestHostCapsOverWire(t *testing.T) {
 
 	// Occupy the host's only session slot in process, then watch a wire
 	// join get the typed refusal — deterministically, no racing joins.
-	bundle, err := bundleFromSpec(spec)
+	digest, err := df.Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := bundleNetwork(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := reg.Session(n.Digest(), 16)
+	s, err := reg.Session(digest, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,22 +65,8 @@
 // documents mid-transfer. -stats prints the traffic of each, including
 // the bytes such a rejection saved.
 //
-// Design file format (see testdata/ for examples):
-//
-//	class dtd | sdtd | edtd | word
-//	kind nFA | dFA | nRE | dRE
-//	kernel eurostat(f0 f1 f2)      # or, for class word:
-//	kernelstring a f1 c f2 e
-//	type:
-//	  root eurostat
-//	  eurostat -> averages, nationalIndex*
-//	end
-//	typing f1:                      # optional; word class: typing f1: regex
-//	  root root1
-//	  root1 -> nationalIndex*
-//	end
-//
-// Lines starting with # are comments.
+// The design file format is specified by dxml.ParseDesign's package,
+// internal/design; testdata/ holds examples.
 package main
 
 import (
@@ -131,15 +117,7 @@ func main() {
 	if err := validateChunkFlag(*chunk); err != nil {
 		fatal(err)
 	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	df, err := ParseDesignFile(string(src))
-	if err != nil {
-		fatal(err)
-	}
-	df.AllowTrivial = *trivial
+	d := loadDesign(flag.Arg(0))
 	if *problem == "validate" && *distributed {
 		docs := make([]*dxml.Tree, 0, flag.NArg()-1)
 		for _, arg := range flag.Args()[1:] {
@@ -153,7 +131,7 @@ func main() {
 			}
 			docs = append(docs, doc)
 		}
-		out, err := RunValidateDistributed(df, docs, *chunk, *stats)
+		out, err := RunValidateDistributed(d, docs, *chunk, *stats)
 		if err != nil {
 			fatal(err)
 		}
@@ -165,7 +143,7 @@ func main() {
 		if arg := flag.Arg(1); arg == "-" && *problem == "validate" {
 			// One streaming pass over stdin; the document is never
 			// materialized.
-			out, err := RunValidateStream(df, os.Stdin, *chunk)
+			out, err := RunValidateStream(d, os.Stdin, *chunk)
 			if err != nil {
 				fatal(err)
 			}
@@ -178,11 +156,24 @@ func main() {
 		}
 		doc = string(b)
 	}
-	out, err := Run(df, *problem, doc)
+	out, err := Run(d, *problem, doc, *trivial)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Print(out)
+}
+
+// loadDesign reads and parses a design file, exiting on failure.
+func loadDesign(path string) *dxml.Design {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		fatal(err)
+	}
+	d, err := dxml.ParseDesign(string(src))
+	if err != nil {
+		fatal(err)
+	}
+	return d
 }
 
 func fatal(err error) {

@@ -8,13 +8,13 @@ import (
 	"dxml"
 )
 
-func load(t *testing.T, name string) *DesignFile {
+func load(t *testing.T, name string) *dxml.Design {
 	t.Helper()
 	src, err := os.ReadFile("testdata/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	df, err := ParseDesignFile(string(src))
+	df, err := dxml.ParseDesign(string(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func load(t *testing.T, name string) *DesignFile {
 
 func TestEurostatDesignFile(t *testing.T) {
 	df := load(t, "eurostat.design")
-	out, err := Run(df, "exists-perfect", "")
+	out, err := Run(df, "exists-perfect", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestEurostatDesignFile(t *testing.T) {
 		t.Errorf("unexpected output:\n%s", out)
 	}
 	for _, problem := range []string{"loc", "ml", "perf"} {
-		out, err = Run(df, problem, "")
+		out, err = Run(df, problem, "", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestEurostatDesignFile(t *testing.T) {
 			t.Errorf("%s should verify Figure 4's typing, got %q", problem, out)
 		}
 	}
-	out, err = Run(df, "cons", "")
+	out, err = Run(df, "cons", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +47,14 @@ func TestEurostatDesignFile(t *testing.T) {
 		t.Errorf("cons output:\n%s", out)
 	}
 	out, err = Run(df, "validate",
-		"eurostat(averages(Good index(value year)) nationalIndex(country Good value year))")
+		"eurostat(averages(Good index(value year)) nationalIndex(country Good value year))", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "valid") || strings.Contains(out, "invalid") {
 		t.Errorf("validate output: %q", out)
 	}
-	out, _ = Run(df, "validate", "eurostat(nationalIndex(country))")
+	out, _ = Run(df, "validate", "eurostat(nationalIndex(country))", false)
 	if !strings.Contains(out, "invalid") {
 		t.Errorf("validate should reject, got %q", out)
 	}
@@ -66,7 +66,7 @@ func TestValidateStreaming(t *testing.T) {
 	df := load(t, "eurostat.design")
 	xmlDoc := `<eurostat><averages><Good/><index><value/><year/></index></averages>` +
 		`<nationalIndex><country/><Good/><value/><year/></nationalIndex></eurostat>`
-	out, err := Run(df, "validate", xmlDoc)
+	out, err := Run(df, "validate", xmlDoc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +98,14 @@ func TestValidateStreaming(t *testing.T) {
 
 func TestExample3DesignFile(t *testing.T) {
 	df := load(t, "example3.design")
-	out, err := Run(df, "exists-perfect", "")
+	out, err := Run(df, "exists-perfect", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "perfect typing exists") {
 		t.Errorf("output:\n%s", out)
 	}
-	out, err = Run(df, "perf", "")
+	out, err = Run(df, "perf", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +116,14 @@ func TestExample3DesignFile(t *testing.T) {
 
 func TestTauPrimePrimeDesignFile(t *testing.T) {
 	df := load(t, "tauprimeprime.design")
-	out, err := Run(df, "exists-perfect", "")
+	out, err := Run(df, "exists-perfect", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "no perfect typing") {
 		t.Errorf("output:\n%s", out)
 	}
-	out, err = Run(df, "exists-ml", "")
+	out, err = Run(df, "exists-ml", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestWordProblemsViaCLI(t *testing.T) {
 		{"ml", "maximal local: true"},
 		{"perf", "perfect: true"},
 	} {
-		out, err := Run(df, c.problem, "")
+		out, err := Run(df, c.problem, "", false)
 		if err != nil {
 			t.Fatalf("%s: %v", c.problem, err)
 		}
@@ -151,13 +151,13 @@ func TestWordProblemsViaCLI(t *testing.T) {
 			t.Errorf("%s: output %q does not contain %q", c.problem, out, c.want)
 		}
 	}
-	if _, err := Run(df, "nonsense", ""); err == nil {
+	if _, err := Run(df, "nonsense", "", false); err == nil {
 		t.Error("unknown problem should fail")
 	}
 }
 
 func TestQuasiPerfectViaCLI(t *testing.T) {
-	df, err := ParseDesignFile(`
+	df, err := dxml.ParseDesign(`
 class word
 kernelstring a f1
 type a b* | d
@@ -165,7 +165,7 @@ type a b* | d
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(df, "quasi-perfect", "")
+	out, err := Run(df, "quasi-perfect", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ type a b* | d
 }
 
 func TestWordNoLocalViaCLI(t *testing.T) {
-	df, err := ParseDesignFile(`
+	df, err := dxml.ParseDesign(`
 class word
 kernelstring f1 f2
 type a b | b a
@@ -184,14 +184,14 @@ type a b | b a
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(df, "exists-local", "")
+	out, err := Run(df, "exists-local", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "no local typing") {
 		t.Errorf("output: %q", out)
 	}
-	out, err = Run(df, "exists-ml", "")
+	out, err = Run(df, "exists-ml", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ type a b | b a
 }
 
 func TestSDTDClassViaCLI(t *testing.T) {
-	df, err := ParseDesignFile(`
+	df, err := dxml.ParseDesign(`
 class sdtd
 kind nRE
 kernel s(a(f1) b(a(f2)))
@@ -216,27 +216,12 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(df, "exists-perfect", "")
+	out, err := Run(df, "exists-perfect", "", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "perfect typing exists") {
 		t.Errorf("output: %q", out)
-	}
-}
-
-func TestParseDesignFileErrors(t *testing.T) {
-	cases := []string{
-		"",                                   // no type
-		"class word\ntype a b",               // no kernelstring
-		"kernel s(f1)\ntype:\nroot s",        // unterminated block
-		"kind zz\nkernel s(f1)\ntype s -> a", // bad kind
-		"garbage line",
-	}
-	for _, src := range cases {
-		if _, err := ParseDesignFile(src); err == nil {
-			t.Errorf("ParseDesignFile(%q) should fail", src)
-		}
 	}
 }
 

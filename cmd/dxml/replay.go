@@ -29,19 +29,12 @@ func runReplay(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	src, err := os.ReadFile(*design)
-	if err != nil {
-		fatal(err)
-	}
-	df, err := ParseDesignFile(string(src))
-	if err != nil {
-		fatal(err)
-	}
+	d := loadDesign(*design)
 	recs, _, err := loadRecords(fs.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	out, diverged, err := RunReplay(df, recs)
+	out, diverged, err := RunReplay(d, recs)
 	if err != nil {
 		fatal(err)
 	}
@@ -127,15 +120,11 @@ func foldReplay(recs []dxml.FlightRecord) (*replaySession, error) {
 // through the kernel validator again. The output matches `dxml join`;
 // the returned divergences name every disagreement between replay and
 // recording.
-func RunReplay(df *DesignFile, recs []dxml.FlightRecord) (string, []string, error) {
-	if df.Class == "word" {
-		return "", nil, fmt.Errorf("replay needs a tree class, not word")
+func RunReplay(d *dxml.Design, recs []dxml.FlightRecord) (string, []string, error) {
+	if _, _, err := d.Type(); err != nil {
+		return "", nil, needsTree("replay", err)
 	}
-	edtd, err := designEDTD(df)
-	if err != nil {
-		return "", nil, err
-	}
-	typing, err := df.typing()
+	typing, err := d.Typing()
 	if err != nil {
 		return "", nil, err
 	}
@@ -143,7 +132,7 @@ func RunReplay(df *DesignFile, recs []dxml.FlightRecord) (string, []string, erro
 	if err != nil {
 		return "", nil, err
 	}
-	funcs := df.Kernel.Funcs()
+	funcs := d.Funcs()
 
 	var diverged []string
 	var missing []string // neither verdict nor completed transfer captured
@@ -194,11 +183,9 @@ func RunReplay(df *DesignFile, recs []dxml.FlightRecord) (string, []string, erro
 		// side; nothing completes offline either.
 		fmt.Fprintf(&b, "centralized: %s\n", verdictWord(false))
 	default:
-		n := dxml.NewNetwork(df.Kernel, edtd)
-		for i, fn := range funcs {
-			if err := n.AddPeer(fn, trees[fn], typing[i]); err != nil {
-				return "", nil, err
-			}
+		n, err := d.Network(trees)
+		if err != nil {
+			return "", nil, err
 		}
 		ok, err := n.ValidateCentralized()
 		if err != nil {

@@ -48,14 +48,7 @@ func runServe(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	src, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	df, err := ParseDesignFile(string(src))
-	if err != nil {
-		fatal(err)
-	}
+	d := loadDesign(fs.Arg(0))
 	if err := validateWindowFlag(*window); err != nil {
 		fatal(err)
 	}
@@ -68,7 +61,7 @@ func runServe(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	srv, err := startServe(df, fs.Args()[1:], *listen, *window, *chaosSeed, c, rig)
+	srv, err := startServe(d, fs.Args()[1:], *listen, *window, *chaosSeed, c, rig)
 	if err != nil {
 		fatal(err)
 	}
@@ -113,8 +106,8 @@ type serveInstance struct {
 // (nil: no flight recording) observes every frame this serve moves and
 // dumps a postmortem bundle on typed wire failures, including the
 // chaos injector's drops.
-func startServe(df *DesignFile, assigns []string, listen string, window int, chaosSeed int64, c *dxml.Obs, rig *captureRig) (*serveInstance, error) {
-	srv, err := serveNetwork(df, assigns)
+func startServe(d *dxml.Design, assigns []string, listen string, window int, chaosSeed int64, c *dxml.Obs, rig *captureRig) (*serveInstance, error) {
+	srv, err := serveNetwork(d, assigns)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +135,7 @@ func startServe(df *DesignFile, assigns []string, listen string, window int, cha
 // the design file's typing block for that function. Every hosted peer
 // gets a live editor, so kernel peers can subscribe (`dxml join
 // -watch`) whether or not this serve watches its files.
-func serveNetwork(df *DesignFile, assigns []string) (*serveInstance, error) {
+func serveNetwork(d *dxml.Design, assigns []string) (*serveInstance, error) {
 	docs := map[string]string{}
 	files := map[string]string{}
 	for _, a := range assigns {
@@ -157,54 +150,38 @@ func serveNetwork(df *DesignFile, assigns []string) (*serveInstance, error) {
 		docs[fn] = string(b)
 		files[fn] = path
 	}
-	n, funcs, err := buildNetwork(df, docs)
+	n, funcs, err := hostNetwork(d, docs)
 	if err != nil {
 		return nil, err
 	}
 	return &serveInstance{net: n, funcs: funcs, files: files}, nil
 }
 
-// buildNetwork builds a hosting network from document *contents* — the
+// hostNetwork builds a hosting network from document *contents* — the
 // shared core of `dxml serve` (contents read from files) and the
 // multi-tenant host's design bundles (contents shipped by `dxml
-// register`). Each provided docking point is attached with the design's
-// typing and a live editor; a host may serve any subset of the design's
-// functions. The returned funcs are the attached ones in kernel order.
-func buildNetwork(df *DesignFile, docs map[string]string) (*dxml.Network, []string, error) {
-	if df.Class == "word" {
-		return nil, nil, fmt.Errorf("serve needs a tree class, not word")
+// register`). Each provided docking point is attached with a live
+// editor; a host may serve any subset of the design's functions. The
+// returned funcs are the attached ones in kernel order. A broken design
+// or an unknown docking point is reported before any document's parse
+// error.
+func hostNetwork(d *dxml.Design, texts map[string]string) (*dxml.Network, []string, error) {
+	docs := make(map[string]*dxml.Tree, len(texts))
+	bad := map[string]error{}
+	for fn, text := range texts {
+		docs[fn], bad[fn] = parseDocArg(text)
 	}
-	edtd, err := designEDTD(df)
+	n, err := d.Network(docs)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, needsTree("serve", err)
 	}
-	typing, err := df.typing()
-	if err != nil {
-		return nil, nil, err
-	}
-	funcs := df.Kernel.Funcs()
-	known := map[string]bool{}
-	for _, f := range funcs {
-		known[f] = true
-	}
-	for fn := range docs {
-		if !known[fn] {
-			return nil, nil, fmt.Errorf("design has no docking point %s (functions: %v)", fn, funcs)
-		}
-	}
-	n := dxml.NewNetwork(df.Kernel, edtd)
 	var attached []string
-	for i, fn := range funcs {
-		text, ok := docs[fn]
-		if !ok {
+	for _, fn := range d.Funcs() {
+		if _, ok := texts[fn]; !ok {
 			continue
 		}
-		doc, err := parseDocArg(text)
-		if err != nil {
+		if err := bad[fn]; err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", fn, err)
-		}
-		if err := n.AddPeer(fn, doc, typing[i]); err != nil {
-			return nil, nil, err
 		}
 		if _, err := n.AttachEditor(fn); err != nil {
 			return nil, nil, err
@@ -312,14 +289,7 @@ func runJoin(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	src, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	df, err := ParseDesignFile(string(src))
-	if err != nil {
-		fatal(err)
-	}
+	d := loadDesign(fs.Arg(0))
 	ctx, stop := signalContext()
 	defer stop()
 	c, obsCleanup, err := obsFromFlags(*traceFile, *debugHTTP)
@@ -332,7 +302,7 @@ func runJoin(args []string) {
 		fatal(err)
 	}
 	if *watch {
-		err := JoinLiveObs(ctx, df, *connect, peers, *chunk, *window, *reconnect, *stats, os.Stdout, c, rig)
+		err := JoinLive(ctx, d, *connect, peers, *chunk, *window, *reconnect, *stats, os.Stdout, c, rig)
 		if err != nil {
 			rig.onError(err)
 		}
@@ -342,7 +312,7 @@ func runJoin(args []string) {
 		}
 		return
 	}
-	out, err := runJoinObs(ctx, df, *connect, peers, *chunk, *window, *stats, c, rig)
+	out, err := runJoinObs(ctx, d, *connect, peers, *chunk, *window, *stats, c, rig)
 	// A failed join dumps its postmortem before the capture file is
 	// sealed — fatal exits without running defers.
 	if err != nil {
@@ -359,21 +329,17 @@ func runJoin(args []string) {
 // hosts; the caller owns the returned session. An interrupt (canceled
 // ctx) closes the session so in-flight operations end with clean
 // close frames instead of a mid-frame kill.
-func dialJoin(ctx context.Context, df *DesignFile, connect string, peers map[string]string, chunk, window int, c *dxml.Obs, rig *captureRig) (*dxml.Network, dxml.TransportSession, error) {
+func dialJoin(ctx context.Context, d *dxml.Design, connect string, peers map[string]string, chunk, window int, c *dxml.Obs, rig *captureRig) (*dxml.Network, dxml.TransportSession, error) {
 	if err := validateChunkFlag(chunk); err != nil {
 		return nil, nil, err
 	}
 	if err := validateWindowFlag(window); err != nil {
 		return nil, nil, err
 	}
-	if df.Class == "word" {
-		return nil, nil, fmt.Errorf("join needs a tree class, not word")
-	}
-	edtd, err := designEDTD(df)
+	n, err := d.Network(nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, needsTree("join", err)
 	}
-	n := dxml.NewNetwork(df.Kernel, edtd)
 	n.ChunkSize = chunk
 	n.Window = window
 	n.Obs = c
@@ -381,7 +347,7 @@ func dialJoin(ctx context.Context, df *DesignFile, connect string, peers map[str
 		n.Observer = rig
 	}
 	addrs := map[string]string{}
-	for _, fn := range df.Kernel.Funcs() {
+	for _, fn := range d.Funcs() {
 		switch {
 		case peers[fn] != "":
 			addrs[fn] = peers[fn]
@@ -404,38 +370,41 @@ func dialJoin(ctx context.Context, df *DesignFile, connect string, peers map[str
 // compares over the TCP wire, reporting verdicts and per-protocol
 // traffic. The session hello carries the design digest, so joining a
 // host that serves a different design fails before any fragment moves.
-func RunJoin(df *DesignFile, connect string, peers map[string]string, chunk, window int, showStats bool) (string, error) {
-	return RunJoinContext(context.Background(), df, connect, peers, chunk, window, showStats)
+func RunJoin(d *dxml.Design, connect string, peers map[string]string, chunk, window int, showStats bool) (string, error) {
+	return runJoinObs(context.Background(), d, connect, peers, chunk, window, showStats, nil, nil)
 }
 
-// RunJoinContext is RunJoin under a context: cancellation closes the
-// session cleanly mid-round.
-func RunJoinContext(ctx context.Context, df *DesignFile, connect string, peers map[string]string, chunk, window int, showStats bool) (string, error) {
-	return runJoinObs(ctx, df, connect, peers, chunk, window, showStats, nil, nil)
-}
-
-// runJoinObs is RunJoinContext with a telemetry collector (nil: none)
-// and a capture rig (nil: no flight recording) — the form `dxml join
+// runJoinObs is RunJoin under a context, whose cancellation closes the
+// session cleanly mid-round, with a telemetry collector (nil: none) and
+// a capture rig (nil: no flight recording) — the form `dxml join
 // -trace/-debug-http/-capture` drives.
-func runJoinObs(ctx context.Context, df *DesignFile, connect string, peers map[string]string, chunk, window int, showStats bool, c *dxml.Obs, rig *captureRig) (string, error) {
-	n, sess, err := dialJoin(ctx, df, connect, peers, chunk, window, c, rig)
+func runJoinObs(ctx context.Context, d *dxml.Design, connect string, peers map[string]string, chunk, window int, showStats bool, c *dxml.Obs, rig *captureRig) (string, error) {
+	n, sess, err := dialJoin(ctx, d, connect, peers, chunk, window, c, rig)
 	if err != nil {
 		return "", err
 	}
 	defer sess.Close()
 
+	return runRounds(ctx, n, showStats)
+}
+
+// runRounds runs both protocols the paper compares on n and reports each
+// verdict and, with showStats, the traffic each round added. The
+// context-aware variants propagate an interrupt into in-flight fragment
+// transfers: the splice loop aborts the open streams, so remote senders
+// halt at their next chunk instead of lingering.
+func runRounds(ctx context.Context, n *dxml.Network, showStats bool) (string, error) {
 	var b strings.Builder
-	report := func(name string, run func() (bool, error)) error {
+	for _, r := range []struct {
+		name string
+		run  func(context.Context) (bool, error)
+	}{{"distributed", n.ValidateDistributedContext}, {"centralized", n.ValidateCentralizedContext}} {
 		pre := n.Stats.Totals()
-		ok, err := run()
+		ok, err := r.run(ctx)
 		if err != nil {
-			return err
+			return "", err
 		}
-		v := "valid"
-		if !ok {
-			v = "invalid"
-		}
-		fmt.Fprintf(&b, "%s: %s\n", name, v)
+		fmt.Fprintf(&b, "%s: %s\n", r.name, verdictWord(ok))
 		if showStats {
 			t := n.Stats.Totals()
 			writeWireLine(&b, dxml.Totals{
@@ -445,16 +414,6 @@ func runJoinObs(ctx context.Context, df *DesignFile, connect string, peers map[s
 				BytesSaved: t.BytesSaved - pre.BytesSaved,
 			})
 		}
-		return nil
-	}
-	// The context-aware variants propagate an interrupt into in-flight
-	// fragment transfers: the splice loop aborts the open streams, so
-	// remote senders halt at their next chunk instead of lingering.
-	if err := report("distributed", func() (bool, error) { return n.ValidateDistributedContext(ctx) }); err != nil {
-		return "", err
-	}
-	if err := report("centralized", func() (bool, error) { return n.ValidateCentralizedContext(ctx) }); err != nil {
-		return "", err
 	}
 	return b.String(), nil
 }
@@ -465,15 +424,10 @@ func runJoinObs(ctx context.Context, df *DesignFile, connect string, peers map[s
 // ends (the interrupt path) or every feed terminates. With reconnect
 // attempts > 0, a dropped feed is resubscribed with exponential backoff
 // — the verdict goes stale during the outage and recovers by log-suffix
-// replay (or a snapshot rebuild when the host compacted past us).
-func JoinLive(ctx context.Context, df *DesignFile, connect string, peers map[string]string, chunk, window, reconnect int, showStats bool, w io.Writer) error {
-	return JoinLiveObs(ctx, df, connect, peers, chunk, window, reconnect, showStats, w, nil, nil)
-}
-
-// JoinLiveObs is JoinLive with a telemetry collector and capture rig
-// (nil: none).
-func JoinLiveObs(ctx context.Context, df *DesignFile, connect string, peers map[string]string, chunk, window, reconnect int, showStats bool, w io.Writer, c *dxml.Obs, rig *captureRig) error {
-	n, sess, err := dialJoin(ctx, df, connect, peers, chunk, window, c, rig)
+// replay (or a snapshot rebuild when the host compacted past us). The
+// telemetry collector and the capture rig may be nil.
+func JoinLive(ctx context.Context, d *dxml.Design, connect string, peers map[string]string, chunk, window, reconnect int, showStats bool, w io.Writer, c *dxml.Obs, rig *captureRig) error {
+	n, sess, err := dialJoin(ctx, d, connect, peers, chunk, window, c, rig)
 	if err != nil {
 		return err
 	}
@@ -485,7 +439,7 @@ func JoinLiveObs(ctx context.Context, df *DesignFile, connect string, peers map[
 	}
 	defer lv.Close()
 	fmt.Fprintf(w, "live: joined %d docking points, initial verdict %s\n",
-		df.Kernel.NumFuncs(), verdictWord(lv.Valid()))
+		n.Kernel.NumFuncs(), verdictWord(lv.Valid()))
 	for {
 		select {
 		case up, ok := <-lv.Updates():

@@ -17,11 +17,11 @@ import (
 // startEurostatServe hosts the Figure 1 federation's documents from
 // temp files on an ephemeral loopback port — the `dxml serve` half of
 // the walkthrough, driven in process.
-func startEurostatServe(t *testing.T, docs []string) (*DesignFile, *serveInstance) {
+func startEurostatServe(t *testing.T, docs []string) (*dxml.Design, *serveInstance) {
 	t.Helper()
 	df := load(t, "eurostat.design")
 	dir := t.TempDir()
-	funcs := df.Kernel.Funcs()
+	funcs := df.Funcs()
 	if len(docs) != len(funcs) {
 		t.Fatalf("need %d documents, got %d", len(funcs), len(docs))
 	}
@@ -126,7 +126,7 @@ func TestJoinErrors(t *testing.T) {
 	addr := srv.host.Addr().String()
 
 	// A join running a different design is refused at the hello.
-	other, err := ParseDesignFile(`
+	other, err := dxml.ParseDesign(`
 class dtd
 kernel eurostat(f0 f1)
 type:
@@ -168,7 +168,7 @@ end
 func TestServeChaosDrill(t *testing.T) {
 	df := load(t, "eurostat.design")
 	dir := t.TempDir()
-	funcs := df.Kernel.Funcs()
+	funcs := df.Funcs()
 	assigns := make([]string, len(funcs))
 	for i, fn := range funcs {
 		path := filepath.Join(dir, fn+".term")
@@ -276,7 +276,9 @@ func TestServeWatchJoinLive(t *testing.T) {
 
 	buf := &syncBuffer{}
 	done := make(chan error, 1)
-	go func() { done <- JoinLive(ctx, df, srv.host.Addr().String(), nil, 0, dxml.DefaultWindow, 8, true, buf) }()
+	go func() {
+		done <- JoinLive(ctx, df, srv.host.Addr().String(), nil, 0, dxml.DefaultWindow, 8, true, buf, nil, nil)
+	}()
 
 	// Wait for the subscription to come up, then break f1's document
 	// on disk; the watcher should re-serve it as edits and the join

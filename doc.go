@@ -54,6 +54,13 @@
 // and the `dxml serve` / `dxml join` subcommands run a federation
 // across processes from a design file.
 //
+// A design file holds one design: the kernel, the global type and the
+// typing. ParseDesign reads it into one immutable Design, which parses
+// the type and the typing at most once and is the one place a design
+// becomes a federation: Design.Network(docs) builds the kernel peer
+// and a resource peer, typed by the design's typing, for each given
+// docking point. Design.Digest is the digest the session hello carries.
+//
 // Federations can outlive the validation round. The edit subsystem
 // (internal/live) gives every resource peer a versioned fragment whose
 // nodes carry prefix-based labels — stable subtree addresses that

@@ -3,6 +3,7 @@ package dxml
 import (
 	"dxml/internal/axml"
 	"dxml/internal/core"
+	"dxml/internal/design"
 	"dxml/internal/flight"
 	"dxml/internal/gen"
 	"dxml/internal/host"
@@ -97,6 +98,16 @@ type (
 	// Kappa assigns specialized-name sets to kernel nodes (Definition 19).
 	Kappa = core.Kappa
 )
+
+// Design is a parsed design file (internal/design specifies the
+// format): the kernel, the global type and the typing, each parsed at
+// most once, and the one place a design becomes a federation
+// (Design.Network).
+type Design = design.Design
+
+// ParseDesign reads a design file; ErrWordClass refuses a tree operation
+// on a word-class design.
+var ParseDesign, ErrWordClass = design.Parse, design.ErrWordClass
 
 // Distributed validation substrate.
 type (

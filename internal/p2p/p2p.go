@@ -302,34 +302,34 @@ func (p *ResourcePeer) Validate(ctx context.Context) error {
 	return r.Finish()
 }
 
-// ctxHandler forwards events, polling the context every few hundred
-// elements so in-flight validations notice a short-circuit cancel.
+// ctxHandler forwards events and counts them, polling the context after
+// every 256th event, whichever kind it is, so an in-flight validation
+// notices a short-circuit cancel within 256 events of any document.
 type ctxHandler struct {
 	ctx context.Context
 	h   stream.Handler
 	n   int
 }
 
-func (c *ctxHandler) check() error {
+// after counts the event just forwarded and passes on its error; on
+// every 256th event that succeeded it returns the context's error.
+func (c *ctxHandler) after(err error) error {
 	c.n++
-	if c.n&255 == 0 {
-		return c.ctx.Err()
+	if err != nil || c.n&255 != 0 {
+		return err
 	}
-	return nil
+	return c.ctx.Err()
 }
 
 func (c *ctxHandler) Resolve(label string) stream.Sym { return c.h.Resolve(label) }
 
 func (c *ctxHandler) StartElement(label string, sym stream.Sym) error {
-	if err := c.check(); err != nil {
-		return err
-	}
-	return c.h.StartElement(label, sym)
+	return c.after(c.h.StartElement(label, sym))
 }
 
-func (c *ctxHandler) Text() error { c.n++; return c.h.Text() }
+func (c *ctxHandler) Text() error { return c.after(c.h.Text()) }
 
-func (c *ctxHandler) EndElement() error { c.n++; return c.h.EndElement() }
+func (c *ctxHandler) EndElement() error { return c.after(c.h.EndElement()) }
 
 // peerSource adapts a ResourcePeer to the transport's sender surface:
 // verdicts from its machine, serializations from the peer's cached XML
@@ -579,17 +579,20 @@ func (n *Network) session() (transport.Session, error) {
 	return n.localSession(nil)
 }
 
-// Digest fingerprints the federation's design — the kernel document and
-// the shape of the global type — so a TCP hello refuses to pair a serve
-// and a join running different designs. Each section is prefixed with
-// its element count, so section markers can never be mistaken for
-// content (a start literally named "names" must not collide with the
-// names section of another design).
-func (n *Network) Digest() []byte {
-	starts := n.GlobalType.Starts
-	names := n.GlobalType.SpecializedNames()
+// Digest is the DesignDigest of the federation's kernel and global type.
+func (n *Network) Digest() []byte { return DesignDigest(n.Kernel, n.GlobalType) }
+
+// DesignDigest fingerprints a design — its kernel document and the shape
+// of its global type — so a TCP hello refuses to pair a serve and a join
+// running different designs. Each section is prefixed with its element
+// count, so section markers can never be mistaken for content (a start
+// literally named "names" must not collide with the names section of
+// another design).
+func DesignDigest(kernel *axml.Kernel, global *schema.EDTD) []byte {
+	starts := global.Starts
+	names := global.SpecializedNames()
 	sort.Strings(names)
-	parts := []string{"kernel", n.Kernel.Tree().String(),
+	parts := []string{"kernel", kernel.Tree().String(),
 		"starts", strconv.Itoa(len(starts))}
 	parts = append(parts, starts...)
 	parts = append(parts, "names", strconv.Itoa(len(names)))

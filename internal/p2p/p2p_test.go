@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"dxml/internal/core"
 	"dxml/internal/gen"
 	"dxml/internal/schema"
+	"dxml/internal/stream"
 	"dxml/internal/xmltree"
 )
 
@@ -545,5 +547,37 @@ func TestCentralizedBoundedDelivery(t *testing.T) {
 	}
 	if tot.BytesSaved <= fatSize/2 {
 		t.Errorf("BytesSaved = %d, expected most of the %d-byte fat fragment", tot.BytesSaved, fatSize)
+	}
+}
+
+// countEvents is a stream.Handler that accepts and counts every event.
+type countEvents struct{ n int }
+
+func (c *countEvents) Resolve(string) stream.Sym             { return 0 }
+func (c *countEvents) StartElement(string, stream.Sym) error { c.n++; return nil }
+func (c *countEvents) Text() error                           { c.n++; return nil }
+func (c *countEvents) EndElement() error                     { c.n++; return nil }
+
+// TestCanceledValidationStopsOnEveryShape: a peer validation under a
+// canceled context stops with ctx.Err() within 256 events on every
+// document shape, whichever kind of event is the 256th. Documents whose
+// start elements never land on a multiple of 256 (r(a(b)×10⁴) has
+// 40,002 events) once validated to the end.
+func TestCanceledValidationStopsOnEveryShape(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, child := range []string{"a(b)", "a(b c d)", "a"} {
+		doc := xmltree.New("r")
+		for i := 0; i < 10000; i++ {
+			doc.Children = append(doc.Children, xmltree.MustParse(child))
+		}
+		inner := &countEvents{}
+		h := &ctxHandler{ctx: ctx, h: inner}
+		if err := stream.StreamTree(doc, h); !errors.Is(err, context.Canceled) {
+			t.Errorf("r(%s×10⁴): StreamTree = %v, want %v", child, err, context.Canceled)
+		}
+		if h.n != 256 || inner.n != 256 {
+			t.Errorf("r(%s×10⁴): stopped after event %d with %d forwarded, want 256", child, h.n, inner.n)
+		}
 	}
 }
