@@ -444,6 +444,11 @@ func JoinLive(ctx context.Context, d *dxml.Design, connect string, peers map[str
 		select {
 		case up, ok := <-lv.Updates():
 			if !ok {
+				// Canceling ctx also ends every feed, which closes the
+				// channel, so this case can win the select over Done.
+				if ctx.Err() != nil {
+					fmt.Fprintln(w, "live: signal received, closing sessions")
+				}
 				return nil
 			}
 			switch up.Health {

@@ -144,8 +144,10 @@
 // When telemetry is not enough, the flight recorder (internal/flight,
 // surfaced as NewFlightRecorder) is the federation's black box. The
 // wire has one observation seam, a TransportObserver (Network.Observer,
-// HostConfig.Observer), that receives every frame every session writes
-// or reads as raw wire bytes and every abnormal session death — a nil
+// HostConfig.Observer), that receives every frame every TCP or pipe
+// session writes or reads as raw wire bytes and every abnormal session
+// death (in-process one-shot rounds move slices, not frames, so there
+// is nothing of theirs to observe) — a nil
 // observer, like the nil collector, is a single nil check on the hot
 // path. The recorder, a reducer over these events, keeps a bounded ring
 // of recent frames plus, optionally, a full length-prefixed binary

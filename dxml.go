@@ -325,14 +325,14 @@ var (
 type ChaosListener = chaos.Listener
 
 // Flight recorder (internal/flight): the federation's black box. A
-// FlightRecorder observes every wire frame (both transports) into a
+// FlightRecorder observes every wire frame (TCP and pipe sessions) into a
 // bounded ring and an optional full capture file; on any typed failure
 // the process dumps a postmortem bundle — frames, trace spans, metrics
 // — that `dxml inspect` decodes and `dxml replay` re-validates offline.
 type (
 	// TransportObserver is the wire's one observation seam: it receives
-	// every frame both transports write or read and every abnormal
-	// session death. Assign one to Network.Observer or
+	// every frame a TCP or pipe session writes or reads and every
+	// abnormal session death. Assign one to Network.Observer or
 	// HostConfig.Observer (the FlightRecorder implements it).
 	TransportObserver = transport.Observer
 	// TransportEvent is one observed frame or session failure.

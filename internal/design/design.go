@@ -37,7 +37,6 @@ import (
 	"dxml/internal/core"
 	"dxml/internal/p2p"
 	"dxml/internal/schema"
-	"dxml/internal/stream"
 	"dxml/internal/strlang"
 	"dxml/internal/xmltree"
 )
@@ -215,16 +214,7 @@ func (d *Design) parseType() {
 	default:
 		d.typeErr = fmt.Errorf("unknown class %q", d.class)
 	}
-	if d.global != nil {
-		prime(d.global)
-	}
 }
-
-// prime compiles a parsed type once and drops the machine: compiling
-// fills the type's lazily built automaton caches, after which the
-// networks sharing the type compile and run it concurrently without
-// writing to it.
-func prime(e *schema.EDTD) { stream.Compile(e) }
 
 // Typing returns the typing, one local type per docking point in kernel
 // order. Class word has no tree typing: ErrWordClass.
@@ -252,11 +242,7 @@ func (d *Design) parseTyping() {
 		return
 	}
 	d.typing, d.typingErr = parseBlocks(d, "no typing block for %s", func(src string) (*schema.EDTD, error) {
-		e, err := schema.ParseEDTD(d.kind, src)
-		if err == nil {
-			prime(e)
-		}
-		return e, err
+		return schema.ParseEDTD(d.kind, src)
 	})
 }
 

@@ -55,7 +55,7 @@ type Hist uint8
 // Histogram IDs. Units are encoded in the name: *Ns histograms observe
 // nanoseconds, the rest observe raw magnitudes (bytes, chunks).
 const (
-	HFrameEncodeNs      Hist = iota // transport: frame serialize+write time
+	HFrameEncodeNs      Hist = iota // transport: serialize+write time, one sample per write call (a chunk batch is one)
 	HFrameDecodeNs                  // transport: frame read+decode time
 	HChunkRTTNs                     // transport: chunk send → cumulative ack covering it
 	HWindowOccupancy                // transport: unacked chunks in flight at send time

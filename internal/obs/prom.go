@@ -33,7 +33,7 @@ var histMeta = [numHists]struct {
 	name, help string
 	seconds    bool
 }{
-	HFrameEncodeNs:      {"dxml_frame_encode_seconds", "Frame serialize+write time.", true},
+	HFrameEncodeNs:      {"dxml_frame_encode_seconds", "Frame serialize+write time, per write call (a chunk batch is one).", true},
 	HFrameDecodeNs:      {"dxml_frame_decode_seconds", "Frame read+decode time.", true},
 	HChunkRTTNs:         {"dxml_chunk_rtt_seconds", "Chunk send to covering cumulative ack.", true},
 	HWindowOccupancy:    {"dxml_window_occupancy_chunks", "Unacked chunks in flight at send time.", false},

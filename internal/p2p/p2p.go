@@ -438,10 +438,10 @@ type Network struct {
 	Obs *obs.Collector
 
 	// Observer, when non-nil, is threaded into every session this
-	// network dials, serves, or runs in process: each encoded or decoded
-	// frame (in process, the frame the event would put on the wire) is
-	// handed to it as raw bytes, and ServeTCP's host reports abnormal
-	// session deaths to it. Nil (the default) observes nothing.
+	// network dials or serves and into its Pipe sessions: each frame
+	// they encode or decode is handed to it as raw bytes, and
+	// ServeTCP's host reports abnormal session deaths to it. In-process
+	// one-shot rounds move no frames. Nil (the default) observes nothing.
 	Observer transport.Observer
 
 	compileOnce sync.Once
@@ -567,7 +567,7 @@ func (n *Network) localSession(override map[string]*xmltree.Tree) (transport.Ses
 	for _, p := range peers {
 		srcs[p.Func] = &peerSource{peer: p, doc: override[p.Func], obs: n.Obs}
 	}
-	return &transport.InProc{Sources: srcs, Chunk: n.chunkBudget(), Observer: n.Observer}, nil
+	return &transport.InProc{Sources: srcs, Chunk: n.chunkBudget()}, nil
 }
 
 // session resolves the wire validation runs over: the externally dialed

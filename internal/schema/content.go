@@ -144,12 +144,10 @@ func (c *Content) DFA() *strlang.DFA { return c.dfa }
 // CompiledDFA returns the minimal trimmed DFA of the content language,
 // compiling it on first use and caching it on the (immutable, shared)
 // content model. The result's alphabet is exactly the language's useful
-// symbols, and its internal caches are primed, so it is safe for
-// concurrent read-only stepping.
+// symbols, and it is safe for concurrent read-only stepping.
 func (c *Content) CompiledDFA() *strlang.DFA {
 	c.compileOnce.Do(func() {
 		c.compiled = c.nfa.Determinize().Minimize()
-		c.compiled.AlphabetIDs() // prime the cache for lock-free reads
 	})
 	return c.compiled
 }

@@ -269,11 +269,9 @@ func (m *Machine) compileGeneral(e *schema.EDTD) {
 	m.gen = make([]genProg, len(m.names))
 	for i, n := range m.names {
 		nfa := e.Rule(n).Lang()
-		startClos := nfa.ClosureOf(nfa.Start()) // primes ε-closures
-		nfa.AlphabetIDs()                       // primes the alphabet cache
 		m.gen[i] = genProg{
 			nfa:       nfa,
-			startClos: startClos,
+			startClos: nfa.ClosureOf(nfa.Start()),
 			finals:    nfa.Finals(),
 			sym:       strlang.Intern(n),
 		}

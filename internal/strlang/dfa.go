@@ -3,6 +3,7 @@ package strlang
 import (
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // dfaRow is a state's transition table: parallel slices sorted by interned
@@ -47,7 +48,7 @@ func (r *dfaRow) clone() dfaRow {
 // DFA is a partial deterministic finite automaton: a missing transition
 // rejects. States are 0..NumStates()-1. Transitions are keyed by interned
 // symbol id in compact sorted rows; the alphabet is cached until the next
-// mutation.
+// mutation, and published atomically as the NFA's caches are.
 type DFA struct {
 	start int
 	final []bool
@@ -55,7 +56,7 @@ type DFA struct {
 
 	// alpha caches the symbol ids with at least one defined transition,
 	// sorted by symbol name; nil means dirty.
-	alpha []int32
+	alpha atomic.Pointer[[]int32]
 }
 
 // NewDFA returns a DFA with a single non-final start state.
@@ -98,14 +99,14 @@ func (d *DFA) SetTransition(from int, sym Symbol, to int) {
 // SetTransitionID sets δ(from, sid) = to by interned symbol id.
 func (d *DFA) SetTransitionID(from int, sid int32, to int) {
 	if d.trans[from].set(sid, int32(to)) {
-		d.alpha = nil
+		invalidate(&d.alpha)
 	}
 }
 
 // removeTransition makes δ(from, sid) undefined.
 func (d *DFA) removeTransition(from int, sid int32) {
 	d.trans[from].remove(sid)
-	d.alpha = nil
+	invalidate(&d.alpha)
 }
 
 // Next returns δ(q, sym) and whether it is defined.
@@ -126,16 +127,18 @@ func (d *DFA) NextID(q int, sid int32) (int, bool) {
 // AlphabetIDs returns the interned ids of symbols with a defined
 // transition, sorted by symbol name (shared slice; do not mutate).
 func (d *DFA) AlphabetIDs() []int32 {
-	if d.alpha == nil {
-		d.alpha = collectAlphabet(func(yield func(int32)) {
-			for q := range d.trans {
-				for _, sid := range d.trans[q].syms {
-					yield(sid)
-				}
-			}
-		})
+	if alpha := d.alpha.Load(); alpha != nil {
+		return *alpha
 	}
-	return d.alpha
+	alpha := collectAlphabet(func(yield func(int32)) {
+		for q := range d.trans {
+			for _, sid := range d.trans[q].syms {
+				yield(sid)
+			}
+		}
+	})
+	d.alpha.Store(&alpha)
+	return alpha
 }
 
 // Alphabet returns the sorted symbols appearing on transitions.
@@ -163,7 +166,8 @@ func (d *DFA) Accepts(w []Symbol) bool {
 
 // Clone returns a deep copy of d.
 func (d *DFA) Clone() *DFA {
-	b := &DFA{start: d.start, alpha: d.alpha}
+	b := &DFA{start: d.start}
+	b.alpha.Store(d.alpha.Load())
 	b.final = slices.Clone(d.final)
 	b.trans = make([]dfaRow, len(d.trans))
 	for q := range d.trans {

@@ -49,7 +49,9 @@
 //   - The per-state ε-closures and the name-sorted alphabet are computed
 //     once and cached on the automaton until the next mutation, so
 //     Determinize and Step chains never re-traverse ε-edges or rebuild
-//     symbol sets. Inclusion and the tree-automaton constructions work on
+//     symbol sets. The caches are published atomically: two goroutines
+//     reading one finished automaton may both build a cache on first
+//     use, but never race. Inclusion and the tree-automaton constructions work on
 //     ε-free forms (WithoutEps) built once per decision or per automaton,
 //     and step them with MoveInto, which only reads.
 package strlang

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Symbol is an element of a finite alphabet. The empty string is reserved
@@ -159,7 +160,9 @@ func (ar *rowArena) build(edges []uint64) nfaRow {
 // Transitions are keyed by interned symbol ids (see Interner) in compact
 // per-state rows; target lists are kept sorted and duplicate-free by
 // binary-search insertion. The per-state ε-closures and the sorted
-// alphabet are computed once and cached until the next mutation.
+// alphabet are computed once and cached until the next mutation. The
+// caches are published atomically, so an automaton no longer mutated
+// may be read from several goroutines at once, first uses included.
 type NFA struct {
 	start int
 	final IntSet
@@ -170,9 +173,9 @@ type NFA struct {
 
 	// alpha caches the symbol ids present on transitions, sorted by
 	// symbol name; nil means dirty.
-	alpha []int32
+	alpha atomic.Pointer[[]int32]
 	// clos caches the per-state ε-closures; nil means dirty.
-	clos []IntSet
+	clos atomic.Pointer[[]IntSet]
 }
 
 // NewNFA returns an automaton with a single non-final start state and no
@@ -187,9 +190,10 @@ func NewNFA() *NFA {
 func (a *NFA) AddState() int {
 	a.trans = append(a.trans, nfaRow{})
 	a.eps = append(a.eps, nil)
-	if a.clos != nil {
+	if clos := a.clos.Load(); clos != nil {
 		// A fresh state has no ε-edges: its closure is itself.
-		a.clos = append(a.clos, NewIntSet(len(a.trans)-1))
+		grown := append(*clos, NewIntSet(len(a.trans)-1))
+		a.clos.Store(&grown)
 	}
 	return len(a.trans) - 1
 }
@@ -238,7 +242,7 @@ func (a *NFA) AddTransition(from int, sym Symbol, to int) {
 // AddTransitionID adds the transition (from, sid, to) by interned symbol id.
 func (a *NFA) AddTransitionID(from int, sid int32, to int) {
 	if a.trans[from].add(sid, int32(to)) {
-		a.alpha = nil // a symbol may have appeared for the first time
+		invalidate(&a.alpha) // a symbol may have appeared for the first time
 	}
 }
 
@@ -246,7 +250,7 @@ func (a *NFA) AddTransitionID(from int, sid int32, to int) {
 func (a *NFA) AddEps(from, to int) {
 	list, inserted := insertSorted(a.eps[from], int32(to))
 	if inserted {
-		a.clos = nil
+		invalidate(&a.clos)
 	}
 	a.eps[from] = list
 }
@@ -280,16 +284,18 @@ func (a *NFA) Edges(q int) ([]int32, [][]int32) {
 // AlphabetIDs returns the interned ids of the symbols appearing on
 // transitions, sorted by symbol name (shared slice; do not mutate).
 func (a *NFA) AlphabetIDs() []int32 {
-	if a.alpha == nil {
-		a.alpha = collectAlphabet(func(yield func(int32)) {
-			for q := range a.trans {
-				for _, sid := range a.trans[q].syms {
-					yield(sid)
-				}
-			}
-		})
+	if alpha := a.alpha.Load(); alpha != nil {
+		return *alpha
 	}
-	return a.alpha
+	alpha := collectAlphabet(func(yield func(int32)) {
+		for q := range a.trans {
+			for _, sid := range a.trans[q].syms {
+				yield(sid)
+			}
+		}
+	})
+	a.alpha.Store(&alpha)
+	return alpha
 }
 
 // collectAlphabet gathers distinct symbol ids from the given enumerator
@@ -331,8 +337,11 @@ func (a *NFA) Clone() *NFA {
 		final: a.final.Copy(),
 		trans: make([]nfaRow, len(a.trans)),
 		eps:   make([][]int32, len(a.eps)),
-		alpha: a.alpha,
-		clos:  slices.Clone(a.clos),
+	}
+	b.alpha.Store(a.alpha.Load())
+	if clos := a.clos.Load(); clos != nil {
+		cloned := slices.Clone(*clos)
+		b.clos.Store(&cloned)
 	}
 	ar := newRowArena(a.rowSize())
 	for q := range a.trans {
@@ -364,16 +373,25 @@ func (a *NFA) Graft(src *NFA) int {
 		}
 		a.eps = append(a.eps, eps)
 	}
-	a.alpha = nil
-	a.clos = nil
+	invalidate(&a.alpha)
+	invalidate(&a.clos)
 	return off
 }
 
-// ensureClosures computes the per-state ε-closures once; every Step and
-// Closure afterwards is pure bitset unions.
-func (a *NFA) ensureClosures() {
-	if a.clos != nil {
-		return
+// invalidate drops a cache on mutation. Construction loops mutate edge
+// by edge, so the store, an atomic exchange, is paid only when there is
+// a cache to drop.
+func invalidate[T any](cache *atomic.Pointer[T]) {
+	if cache.Load() != nil {
+		cache.Store(nil)
+	}
+}
+
+// closures returns the per-state ε-closures, computed once; every Step
+// and Closure afterwards is pure bitset unions.
+func (a *NFA) closures() []IntSet {
+	if clos := a.clos.Load(); clos != nil {
+		return *clos
 	}
 	n := len(a.trans)
 	clos := make([]IntSet, n)
@@ -395,15 +413,16 @@ func (a *NFA) ensureClosures() {
 		}
 		clos[q] = c
 	}
-	a.clos = clos
+	a.clos.Store(&clos)
+	return clos
 }
 
 // Closure returns the ε-closure of the given set of states.
 func (a *NFA) Closure(states IntSet) IntSet {
-	a.ensureClosures()
+	clos := a.closures()
 	out := NewIntSet()
 	for q := range states.All() {
-		out.AddAll(a.clos[q])
+		out.AddAll(clos[q])
 	}
 	return out
 }
@@ -411,8 +430,7 @@ func (a *NFA) Closure(states IntSet) IntSet {
 // ClosureOf returns the cached ε-closure of a single state (shared; do not
 // mutate).
 func (a *NFA) ClosureOf(q int) IntSet {
-	a.ensureClosures()
-	return a.clos[q]
+	return a.closures()[q]
 }
 
 // Step returns the ε-closed set reached from the ε-closed set cur by
@@ -439,10 +457,10 @@ func (a *NFA) StepID(cur IntSet, sid int32) IntSet {
 // StepID: reusing dst across steps keeps the general-EDTD streaming slow
 // path off the heap.
 func (a *NFA) StepIDInto(dst, cur IntSet, sid int32) {
-	a.ensureClosures()
+	clos := a.closures()
 	for q := range cur.All() {
 		for _, t := range a.trans[q].get(sid) {
-			dst.AddAll(a.clos[t])
+			dst.AddAll(clos[t])
 		}
 	}
 }

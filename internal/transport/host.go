@@ -224,54 +224,19 @@ func newHostStream(cancel context.CancelFunc, fn string) *hostStream {
 	return &hostStream{ackCh: make(chan struct{}, 1), editAck: make(chan struct{}, 1), cancel: cancel, fn: fn}
 }
 
-// session is one kernel peer's connection.
+// session is one kernel peer's connection, the host's end of it.
 type session struct {
-	host    *Host
-	c       net.Conn
-	wmu     sync.Mutex
-	fw      frameWriter
-	timeout time.Duration // liveness window (0: no deadlines)
-	sources map[string]Source
-	gate    Gate           // nil: ungated
-	obs     *obs.Collector // telemetry sink (nil: no-op)
-	trace   uint64         // trace ID from the client's hello
+	endpoint // trace: from the client's hello
+	sources  map[string]Source
+	gate     Gate // nil: ungated
+	budget   int  // chunk budget from the hello
+	win      int  // effective per-stream credit window
 
 	mu       sync.Mutex
 	streams  map[uint32]*hostStream
 	verdicts map[uint32]context.CancelFunc
 	lives    map[uint32]LiveFeedSrc // open subscriptions, for verdict-update routing
 	wg       sync.WaitGroup
-}
-
-func (s *session) send(f frame) error { return s.sendAs(f, Control, "") }
-
-// sendAs writes one frame under the write lock, with the liveness
-// deadline armed: a client that stops draining its socket fails the
-// write in bounded time instead of parking a stream goroutine forever.
-// kind and fn label the frame for the observer (frameWriter.writeAs).
-func (s *session) sendAs(f frame, kind Kind, fn string) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.timeout > 0 {
-		s.c.SetWriteDeadline(time.Now().Add(s.timeout))
-	}
-	start := s.obs.Nanos()
-	if err := s.fw.writeAs(f, kind, fn); err != nil {
-		if isTimeout(err) {
-			return &TimeoutError{Op: "write", After: s.timeout}
-		}
-		return err
-	}
-	s.obs.Observe(obs.HFrameEncodeNs, s.obs.Nanos()-start)
-	s.obs.Add(obs.CFramesEncoded, 1)
-	return nil
-}
-
-// armReadDeadline extends the session's liveness window by one timeout.
-func (s *session) armReadDeadline() {
-	if s.timeout > 0 {
-		s.c.SetReadDeadline(time.Now().Add(s.timeout))
-	}
 }
 
 // fail reports the session's abnormal death to its observer as a Failed
@@ -288,17 +253,13 @@ func (s *session) fail(err error) {
 
 func (h *Host) serveSession(c net.Conn) {
 	defer c.Close()
-	s := &session{host: h, c: c, fw: frameWriter{w: c},
-		timeout: resolveLiveness(h.cfg.Timeout, DefaultTimeout),
-		streams: map[uint32]*hostStream{}, verdicts: map[uint32]context.CancelFunc{},
-		lives: map[uint32]LiveFeedSrc{}, obs: h.cfg.Obs}
-	s.fw.ob = h.cfg.Observer
-	fr := newFrameReader(c)
-	fr.obs = h.cfg.Obs
-	fr.ob = h.cfg.Observer
+	s := &session{streams: map[uint32]*hostStream{}, verdicts: map[uint32]context.CancelFunc{},
+		lives: map[uint32]LiveFeedSrc{}}
+	s.init(c, resolveLiveness(h.cfg.Timeout, DefaultTimeout), h.cfg.Obs)
+	s.observeAs(h.cfg.Observer, 0)
 	s.armReadDeadline()
 	helloStart := spanClock(s.obs)
-	hello, err := fr.read()
+	hello, err := s.fr.read()
 	if err != nil || hello.typ != frameHello {
 		if err == nil {
 			err = codecErrf("transport: expected hello, got frame type %d", hello.typ)
@@ -307,8 +268,7 @@ func (h *Host) serveSession(c net.Conn) {
 		s.send(frame{typ: frameError, str: "expected hello"})
 		return
 	}
-	s.trace = hello.ver
-	s.fw.sess, fr.sess = hello.ver, hello.ver
+	s.observeAs(h.cfg.Observer, hello.ver)
 	if hello.flag != protocolVersion {
 		s.send(frame{typ: frameError, str: fmt.Sprintf("protocol version mismatch: client speaks v%d, this host v%d", hello.flag, protocolVersion)})
 		return
@@ -335,49 +295,41 @@ func (h *Host) serveSession(c net.Conn) {
 		defer route.Close()
 	}
 	s.sources, s.gate = route.Sources, route.Gate
-	s.fw.ob = join(s.fw.ob, route.Observer)
-	fr.ob = s.fw.ob
-	budget := budgetFromWire(hello.id)
+	s.observeAs(join(h.cfg.Observer, route.Observer), s.trace)
+	s.budget = budgetFromWire(hello.id)
 	// The effective credit window: the client's hello grant clamped to
 	// [1, maxWindow] and to the host's own cap. Hostile grants (zero, or
 	// a count that overflows int) are clamped, never honored — credits
 	// gate sending, they never size an allocation, so no grant can make
 	// the host buffer unboundedly or deadlock.
-	win := clampWindow(int(hello.win), h.cfg.Window)
+	s.win = clampWindow(int(hello.win), h.cfg.Window)
 	if err := s.send(frame{typ: frameWelcome, flag: protocolVersion, data: hello.data}); err != nil {
 		return
 	}
 	s.obs.Add(obs.CAdmissions, 1)
 	s.obs.Span(obs.Span{Trace: s.trace, Name: "hello", Start: helloStart, End: spanClock(s.obs)})
 	ctx, cancel := context.WithCancel(h.ctx)
-	defer cancel() // halts every in-flight verdict and stream
+	defer func() {
+		cancel() // halts every in-flight verdict and stream
+		s.wg.Wait()
+	}()
 	for {
-		s.armReadDeadline()
-		f, err := fr.read()
+		f, err := s.read()
 		if err != nil {
-			if isTimeout(err) {
-				err = &TimeoutError{Op: "read", After: s.timeout}
-			}
 			s.fail(err)
-			break
+			return
 		}
-		switch f.typ {
-		case framePing:
-			// Liveness probe: echo the token so the client's read
-			// deadline refreshes. The ping's arrival refreshed ours.
-			if s.send(frame{typ: framePong, id: f.id}) != nil {
-				cancel()
-				s.wg.Wait()
+		if ok, err := s.liveness(f); ok {
+			if err != nil {
 				return
 			}
-
-		case framePong:
-			// Traffic is the point; nothing to route.
-
+			continue
+		}
+		switch f.typ {
 		case frameVerdictReq:
 			src, ok := s.sources[f.str]
 			if !ok {
-				s.send(frame{typ: frameStreamErr, id: f.id, str: "no such docking point: " + f.str})
+				s.streamErr(f.id, errors.New("no such docking point: "+f.str))
 				continue
 			}
 			vctx, vcancel := context.WithCancel(ctx)
@@ -414,65 +366,8 @@ func (h *Host) serveSession(c net.Conn) {
 				vcancel() // the round was decided: stop mid-document
 			}
 
-		case frameOpen:
-			src, ok := s.sources[f.str]
-			if !ok {
-				s.send(frame{typ: frameStreamErr, id: f.id, str: "no such docking point: " + f.str})
-				continue
-			}
-			if err := s.admitStream(f.str); err != nil {
-				s.streamErr(f.id, err)
-				continue
-			}
-			sctx, scancel := context.WithCancel(ctx)
-			st := newHostStream(scancel, f.str)
-			s.mu.Lock()
-			s.streams[f.id] = st
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go s.serveStream(sctx, f.id, st, src, budget, win)
-
-		case frameSubscribe, frameResume:
-			src, ok := s.sources[f.str]
-			if !ok {
-				s.send(frame{typ: frameStreamErr, id: f.id, str: "no such docking point: " + f.str})
-				continue
-			}
-			ls, ok := src.(LiveSource)
-			if !ok {
-				s.send(frame{typ: frameStreamErr, id: f.id, str: "docking point is not live: " + f.str})
-				continue
-			}
-			if err := s.admitStream(f.str); err != nil {
-				s.streamErr(f.id, err)
-				continue
-			}
-			sctx, scancel := context.WithCancel(ctx)
-			st := newHostStream(scancel, f.str)
-			var lf LiveFeedSrc
-			var resumed bool
-			var err error
-			if f.typ == frameResume {
-				lf, resumed, err = ls.OpenLiveSince(sctx, f.ver)
-			} else {
-				lf, err = ls.OpenLive(sctx)
-			}
-			if err != nil {
-				scancel()
-				s.releaseSlot(st)
-				s.streamErr(f.id, err)
-				continue
-			}
-			kind := Subscribed
-			if f.typ == frameResume {
-				kind = Resumed
-			}
-			s.mu.Lock()
-			s.streams[f.id] = st
-			s.lives[f.id] = lf
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go s.serveLive(sctx, f.id, st, lf, budget, win, kind, resumed)
+		case frameOpen, frameSubscribe, frameResume:
+			s.openStream(ctx, f)
 
 		case frameAck:
 			s.mu.Lock()
@@ -533,13 +428,63 @@ func (h *Host) serveSession(c net.Conn) {
 
 		default:
 			s.send(frame{typ: frameError, str: fmt.Sprintf("unexpected frame type %d", f.typ)})
-			cancel()
-			s.wg.Wait()
 			return
 		}
 	}
-	cancel()
-	s.wg.Wait()
+}
+
+// openStream admits one stream — a fragment (open) or a subscription
+// (subscribe, resume) — through one docking-point lookup, one gate
+// admission and one registration, and starts its sender. A stream the
+// host will not serve is answered with a stream error frame: bounded,
+// never a hang.
+func (s *session) openStream(ctx context.Context, f frame) {
+	src, ok := s.sources[f.str]
+	if !ok {
+		s.streamErr(f.id, errors.New("no such docking point: "+f.str))
+		return
+	}
+	ls, live := src.(LiveSource)
+	if f.typ != frameOpen && !live {
+		s.streamErr(f.id, errors.New("docking point is not live: "+f.str))
+		return
+	}
+	if err := s.admitStream(f.str); err != nil {
+		s.streamErr(f.id, err)
+		return
+	}
+	sctx, scancel := context.WithCancel(ctx)
+	st := newHostStream(scancel, f.str)
+	var lf LiveFeedSrc
+	var resumed bool
+	var err error
+	switch f.typ {
+	case frameSubscribe:
+		lf, err = ls.OpenLive(sctx)
+	case frameResume:
+		lf, resumed, err = ls.OpenLiveSince(sctx, f.ver)
+	}
+	if err != nil {
+		scancel()
+		s.releaseSlot(st)
+		s.streamErr(f.id, err)
+		return
+	}
+	s.mu.Lock()
+	s.streams[f.id] = st
+	if lf != nil {
+		s.lives[f.id] = lf
+	}
+	s.mu.Unlock()
+	s.wg.Add(1)
+	switch f.typ {
+	case frameOpen:
+		go s.serveStream(sctx, f.id, st, src)
+	case frameSubscribe:
+		go s.serveLive(sctx, f.id, st, lf, Subscribed, resumed)
+	default:
+		go s.serveLive(sctx, f.id, st, lf, Resumed, resumed)
+	}
 }
 
 // admitStream asks the session's gate to admit one more open transfer;
@@ -576,31 +521,31 @@ func (s *session) streamErr(id uint32, err error) {
 // serveStream runs one fragment transfer: capture the source's bytes,
 // announce their length and the effective window, then ship chunk
 // frames sliced from them as long as the receiver's cumulative acks
-// leave credit — up to win unacked chunks are pipelined, so the sender
+// leave credit — up to s.win unacked chunks are pipelined, so the sender
 // is never idle a full round trip per chunk. A reject (or a dead
 // session) cancels sctx: a parked sender wakes at once, and a sender
 // with credit left notices before its next chunk, so at most one window
-// past the failure point is ever shipped.
-func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, src Source, budget, win int) {
+// past the failure point is ever shipped. A delivered stream stays
+// registered until the receiver's last ack (lastAck) has been counted,
+// or the session ends.
+func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, src Source) {
 	defer s.wg.Done()
 	defer st.cancel()
 	defer s.releaseSlot(st)
+	defer s.unregister(id)
 	fn := st.fn
 	openStart := spanClock(s.obs)
 	doc, err := serialized(src)
 	if err == nil {
-		if err := s.send(frame{typ: frameBegin, id: id, size: uint64(len(doc)), win: uint32(win)}); err != nil {
+		if err := s.send(frame{typ: frameBegin, id: id, size: uint64(len(doc)), win: uint32(s.win)}); err != nil {
 			return
 		}
 		s.obs.Span(obs.Span{Trace: s.trace, Name: "open", Frag: fn, Start: openStart, End: spanClock(s.obs), Bytes: int64(len(doc))})
 	}
 	chunksStart := spanClock(s.obs)
 	if err == nil {
-		err = s.shipCredited(sctx, id, st, doc, budget, win)
+		err = s.shipCredited(sctx, id, st, doc)
 	}
-	s.mu.Lock()
-	delete(s.streams, id)
-	s.mu.Unlock()
 	span := obs.Span{Trace: s.trace, Name: "chunks", Frag: fn,
 		Start: chunksStart, Bytes: st.sentBytes, N: int64(st.sentChunks)}
 	switch {
@@ -617,40 +562,63 @@ func (s *session) serveStream(sctx context.Context, id uint32, st *hostStream, s
 	}
 	span.End = spanClock(s.obs)
 	s.obs.Span(span)
+	if err == nil {
+		// Its error is the stream's end (a reject or the session's),
+		// which leaves nothing to report.
+		st.awaitAck(sctx, lastAck(st.sentChunks, s.win))
+	}
+}
+
+// unregister forgets a finished stream: later frames for its id are
+// dropped.
+func (s *session) unregister(id uint32) {
+	s.mu.Lock()
+	delete(s.streams, id)
+	delete(s.lives, id)
+	s.mu.Unlock()
+}
+
+// awaitAck parks until the receiver's cumulative ack reaches n, or sctx
+// ends (its error is returned).
+func (st *hostStream) awaitAck(sctx context.Context, n uint64) error {
+	for st.acked.Load() < n {
+		select {
+		case <-st.ackCh:
+		case <-sctx.Done():
+			return sctx.Err()
+		}
+	}
+	return nil
 }
 
 // shipCredited ships doc's chunks on a credit-windowed stream: park
 // while the window is exhausted (sent − acked ≥ win), then ship every
 // chunk the credit allows in one batch. sctx is checked before every
 // batch, so a reject stops the sender within the credit it already had.
-func (s *session) shipCredited(sctx context.Context, id uint32, st *hostStream, doc []byte, budget, win int) error {
+func (s *session) shipCredited(sctx context.Context, id uint32, st *hostStream, doc []byte) error {
+	win := uint64(s.win)
 	if s.obs != nil {
 		// The RTT ring exists only when instrumented: one slot per
 		// window credit, written at send, read by the read loop at ack.
 		st.sendNs = make([]atomic.Int64, win)
 	}
 	for off := 0; off < len(doc); {
-		var acked uint64
-		for {
-			// A hostile client can ack more chunks than were ever sent;
-			// clamp to sent so the subtraction never wraps — an over-ack
-			// grants at most a full window, it can never park the sender
-			// forever or corrupt the credit arithmetic.
-			acked = min(st.acked.Load(), st.sentChunks)
-			if st.sentChunks-acked < uint64(win) {
-				break
-			}
-			select {
-			case <-st.ackCh:
-			case <-sctx.Done():
-				return sctx.Err()
+		if st.sentChunks >= win {
+			// Chunk sent+1 needs a cumulative ack of sent+1−win.
+			if err := st.awaitAck(sctx, st.sentChunks-win+1); err != nil {
+				return err
 			}
 		}
 		if err := sctx.Err(); err != nil {
 			return err
 		}
+		// A hostile client can ack more chunks than were ever sent;
+		// clamp to sent so the subtraction never wraps — an over-ack
+		// grants at most a full window, it can never park the sender
+		// forever or corrupt the credit arithmetic.
+		acked := min(st.acked.Load(), st.sentChunks)
 		var err error
-		if off, err = s.sendChunks(id, st, doc, off, budget, win-int(st.sentChunks-acked), acked); err != nil {
+		if off, err = s.sendChunks(id, st, doc, off, int(win-(st.sentChunks-acked)), acked); err != nil {
 			return err
 		}
 	}
@@ -658,18 +626,12 @@ func (s *session) shipCredited(sctx context.Context, id uint32, st *hostStream, 
 }
 
 // sendChunks writes the chunk frames of doc from off that a credit of
-// n allows (chunkBatch) under one hold of the write lock, with the
-// liveness deadline armed once, and records each chunk's telemetry: the
-// window occupancy and RTT-ring stamp before the write, the sent
-// counters after it. acked is the cumulative ack the credit was
-// computed from. It returns the offset after the last frame.
-func (s *session) sendChunks(id uint32, st *hostStream, doc []byte, off, budget, n int, acked uint64) (int, error) {
-	n = chunkBatch(doc, off, budget, n)
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.timeout > 0 {
-		s.c.SetWriteDeadline(time.Now().Add(s.timeout))
-	}
+// n allows (chunkBatch) in one write call, and records each chunk's
+// telemetry: the window occupancy and RTT-ring stamp before the write,
+// the sent counters after it. acked is the cumulative ack the credit
+// was computed from. It returns the offset after the last frame.
+func (s *session) sendChunks(id uint32, st *hostStream, doc []byte, off, n int, acked uint64) (int, error) {
+	n = chunkBatch(doc, off, s.budget, n)
 	sent := st.sentChunks
 	if ring := st.sendNs; ring != nil {
 		// Occupancy is sampled before the send: how many credits were
@@ -680,18 +642,19 @@ func (s *session) sendChunks(id uint32, st *hostStream, doc []byte, off, budget,
 			ring[(sent+i)%uint64(len(ring))].Store(now)
 		}
 	}
-	end, err := s.fw.writeChunks(id, doc, off, budget, n)
+	end := off
+	err := s.write(n, func() (err error) {
+		end, err = s.fw.writeChunks(id, doc, off, s.budget, n)
+		return err
+	})
 	if err != nil {
-		if isTimeout(err) {
-			return end, &TimeoutError{Op: "write", After: s.timeout}
-		}
 		return end, err
 	}
 	st.sentChunks += uint64(n)
 	if st.sendNs != nil {
 		s.obs.Add(obs.CChunksSent, int64(n))
 		for o := off; o < end; {
-			c := nextChunk(doc, o, budget)
+			c := nextChunk(doc, o, s.budget)
 			s.obs.Observe(obs.HChunkBytes, int64(len(c)))
 			o += len(c)
 		}
@@ -711,28 +674,23 @@ func (s *session) sendChunks(id uint32, st *hostStream, doc []byte, off, budget,
 // so the phase structure is unchanged: subscribed, zero chunks, end,
 // edits from the announced version on. kind labels the subscribed frame
 // for the observer: Subscribed, or Resumed for a resume request.
-func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf LiveFeedSrc, budget, win int, kind Kind, resumed bool) {
+func (s *session) serveLive(sctx context.Context, id uint32, st *hostStream, lf LiveFeedSrc, kind Kind, resumed bool) {
 	defer s.wg.Done()
 	defer st.cancel()
 	defer s.releaseSlot(st)
-	defer func() {
-		s.mu.Lock()
-		delete(s.streams, id)
-		delete(s.lives, id)
-		s.mu.Unlock()
-		lf.Close()
-	}()
+	defer lf.Close()
+	defer s.unregister(id)
 	rflag := byte(0)
 	if resumed {
 		rflag = 1
 	}
 	snap, err := serialized(lf)
 	if err == nil {
-		if err := s.sendAs(frame{typ: frameSubscribed, id: id, ver: lf.Version(), size: uint64(len(snap)), flag: rflag, win: uint32(win)},
+		if err := s.sendAs(frame{typ: frameSubscribed, id: id, ver: lf.Version(), size: uint64(len(snap)), flag: rflag, win: uint32(s.win)},
 			kind, st.fn); err != nil {
 			return
 		}
-		err = s.shipCredited(sctx, id, st, snap, budget, win)
+		err = s.shipCredited(sctx, id, st, snap)
 	}
 	if err != nil {
 		if sctx.Err() == nil {

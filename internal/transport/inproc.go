@@ -4,10 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
-
-	"dxml/internal/obs"
 )
 
 // InProc is the in-process wire for one-shot rounds only: verdict
@@ -22,43 +18,15 @@ import (
 // them over a Pipe, which is the TCP host's own serving loop on an
 // in-memory connection. The one-shot round stays on InProc because
 // copying every chunk through the codec costs it more than its
-// allocation budget allows.
+// allocation budget allows. No frame exists here, so there is nothing
+// for an Observer to see: observe a federation on a wire that carries
+// frames (TCP or a Pipe).
 type InProc struct {
 	// Sources maps each docking point to its hosted peer.
 	Sources map[string]Source
 	// Chunk is the resolved chunk budget in bytes (math.MaxInt for
 	// unchunked); it must be positive.
 	Chunk int
-	// Observer, when non-nil, observes the session's protocol events as
-	// synthesized wire frames: in-process transfers exchange no bytes,
-	// so each event is encoded as the frame it *would* put on the TCP
-	// wire (open, begin, chunks, end, verdicts, rejects), and captures
-	// of both transports share one format. The begin frame announces a
-	// window of 0: no credit window applies in process. The session's
-	// trace ID is minted at the first observed frame. Nil (the default)
-	// costs one nil check per event and nothing else.
-	Observer Observer
-
-	mu     sync.Mutex   // serializes the lazily-built encoder and its buffer's observer
-	enc    *frameWriter // encodes observed frames into its buffer
-	sess   uint64       // trace ID, minted with the encoder
-	nextID atomic.Uint32
-}
-
-// observe encodes one synthesized frame and hands it to the observer;
-// a no-op without one. Chunk frames go through the general encoder, so
-// each frame is observed as one head slice.
-func (s *InProc) observe(dir Dir, f frame) {
-	if s.Observer == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.enc == nil {
-		s.enc, s.sess = &frameWriter{w: io.Discard}, obs.NewTraceID()
-	}
-	s.enc.write(f)
-	observe(s.Observer, dir, s.sess, &f, Control, "", s.enc.buf, nil)
 }
 
 func (s *InProc) source(fn string) (Source, error) {
@@ -75,18 +43,10 @@ func (s *InProc) Verdict(ctx context.Context, fn string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	id := s.nextID.Add(1)
-	s.observe(Out, frame{typ: frameVerdictReq, id: id, str: fn})
 	v := src.Verdict(ctx)
 	if err := ctx.Err(); err != nil {
-		s.observe(Out, frame{typ: frameVerdictCancel, id: id})
 		return false, err
 	}
-	flag := byte(0)
-	if v {
-		flag = 1
-	}
-	s.observe(In, frame{typ: frameVerdict, id: id, flag: flag})
 	return v, nil
 }
 
@@ -100,27 +60,21 @@ func (s *InProc) Open(ctx context.Context, fn string) (Fragment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	id := s.nextID.Add(1)
-	s.observe(Out, frame{typ: frameOpen, id: id, str: fn})
 	doc, err := serialized(src)
 	if err != nil {
-		s.observe(In, frame{typ: frameStreamErr, id: id, str: err.Error()})
 		return nil, fmt.Errorf("transport: open %s: %w", fn, err)
 	}
-	s.observe(In, frame{typ: frameBegin, id: id, size: uint64(len(doc))})
-	return &inprocFragment{sess: s, id: id, doc: doc}, nil
+	return &inprocFragment{doc: doc, chunk: s.Chunk}, nil
 }
 
 // Close is a no-op: in-process sessions hold no resources.
 func (s *InProc) Close() error { return nil }
 
 type inprocFragment struct {
-	sess    *InProc
-	id      uint32
 	doc     []byte // the captured serialization
 	off     int    // bytes handed out so far
+	chunk   int    // the chunk budget
 	aborted bool
-	ended   bool
 }
 
 func (f *inprocFragment) Size() int { return len(f.doc) }
@@ -130,21 +84,11 @@ func (f *inprocFragment) Next() ([]byte, error) {
 		return nil, fmt.Errorf("transport: read from aborted stream")
 	}
 	if f.off == len(f.doc) {
-		if !f.ended {
-			f.ended = true
-			f.sess.observe(In, frame{typ: frameEnd, id: f.id})
-		}
 		return nil, io.EOF
 	}
-	chunk := nextChunk(f.doc, f.off, f.sess.Chunk)
+	chunk := nextChunk(f.doc, f.off, f.chunk)
 	f.off += len(chunk)
-	f.sess.observe(In, frame{typ: frameChunk, id: f.id, data: chunk})
 	return chunk, nil
 }
 
-func (f *inprocFragment) Abort() {
-	if !f.aborted {
-		f.aborted = true
-		f.sess.observe(Out, frame{typ: frameReject, id: f.id, str: "rejected by receiver"})
-	}
-}
+func (f *inprocFragment) Abort() { f.aborted = true }

@@ -151,6 +151,99 @@ func (r *ringTap) Observe(ev Event) {
 	r.mu.Unlock()
 }
 
+// TestFrameCountsMatch: each end counts every frame it writes once in
+// CFramesEncoded, batched chunk frames included, and every frame it
+// reads once in CFramesDecoded. So over one Pipe, with the heartbeat off,
+// the host's encoded count equals the client's decoded count and the
+// client's encoded count equals the host's decoded count — after a
+// delivered round, a round rejected mid-transfer, and a live
+// subscription.
+func TestFrameCountsMatch(t *testing.T) {
+	const chunk, chunks = 64, 21
+	src := newFakeLive(blob(chunk*(chunks-1)+7), 1)
+	hostObs, clientObs := obs.New(), obs.New()
+	digest := Digest("frame-counts")
+	c, err := Pipe(HostConfig{Digest: digest, Sources: map[string]Source{"f1": src}, Obs: hostObs},
+		Config{Digest: digest, Chunk: chunk, Heartbeat: -1, Obs: clientObs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	// A verdict round trip behind a round's last frame: the host answers
+	// it only after the write it may be in the middle of.
+	roundTrip := func() {
+		t.Helper()
+		if _, err := c.Verdict(ctx, "f1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	frag, err := c.Open(ctx, "f1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := frag.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip()
+
+	frag, err = c.Open(ctx, "f1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if _, err := frag.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frag.Abort()
+	roundTrip()
+
+	feed, err := c.Subscribe(ctx, "f1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := feed.NextChunk(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.publish(EditFrame{Version: 2, Op: 1, Addr: []uint64{1}, Doc: []byte("<a/>")})
+	src.publish(EditFrame{Version: 3, Op: 2, Addr: []uint64{1}})
+	for range 2 {
+		e, err := feed.NextEdit(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := feed.SendVerdict(e.Version, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := feed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip()
+	c.Close() // waits for the host side: every count is in
+
+	hostEnc, clientDec := hostObs.Counter(obs.CFramesEncoded), clientObs.Counter(obs.CFramesDecoded)
+	if hostEnc != clientDec {
+		t.Errorf("host encoded %d frames, client decoded %d", hostEnc, clientDec)
+	}
+	if hostEnc < 2*chunks {
+		t.Errorf("host encoded %d frames, fewer than the %d chunk frames of the delivered round and the snapshot", hostEnc, 2*chunks)
+	}
+	if clientEnc, hostDec := clientObs.Counter(obs.CFramesEncoded), hostObs.Counter(obs.CFramesDecoded); clientEnc != hostDec {
+		t.Errorf("client encoded %d frames, host decoded %d", clientEnc, hostDec)
+	}
+}
+
 // benchChunkPath drives the wire's chunk hot path — session.sendChunks,
 // the one vectored write shipCredited makes per credit grant, with its
 // per-chunk telemetry, onto a real TCP conn — at window 32, under a
@@ -179,7 +272,9 @@ func benchChunkPath(b *testing.B, c *obs.Collector, ob Observer) {
 		b.Fatal(err)
 	}
 	const chunk, win = 4096, 32
-	s := &session{c: conn, fw: frameWriter{w: conn, ob: ob}, timeout: DefaultTimeout, obs: c}
+	s := &session{budget: chunk}
+	s.init(conn, DefaultTimeout, c)
+	s.observeAs(ob, 0)
 	st := newHostStream(nil, "f1")
 	if c != nil {
 		// As shipCredited: the RTT ring exists only when instrumented.
@@ -187,7 +282,7 @@ func benchChunkPath(b *testing.B, c *obs.Collector, ob Observer) {
 	}
 	doc := blob(chunk * win)
 	batch := func(n int) {
-		if _, err := s.sendChunks(1, st, doc, 0, chunk, n, st.sentChunks); err != nil {
+		if _, err := s.sendChunks(1, st, doc, 0, n, st.sentChunks); err != nil {
 			b.Fatal(err)
 		}
 	}

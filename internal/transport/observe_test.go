@@ -141,51 +141,6 @@ func TestTapTCPBothDirections(t *testing.T) {
 	}
 }
 
-// TestTapInProc pins the in-process transport's synthesized frames: the
-// loopback session fabricates the same wire the TCP transport would
-// carry, so a flight recording of an InProc federation decodes with the
-// same tooling.
-func TestTapInProc(t *testing.T) {
-	doc := blob(300)
-	tap := &memTap{}
-	s := &InProc{
-		Sources:  map[string]Source{"f1": &fakeSource{blob: doc, verdict: true}},
-		Chunk:    128,
-		Observer: tap,
-	}
-	if ok, err := s.Verdict(context.Background(), "f1"); err != nil || !ok {
-		t.Fatalf("Verdict = %v, %v", ok, err)
-	}
-	frag, err := s.Open(context.Background(), "f1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := frag.Next(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-	}
-	types := tap.types(t)
-	if !hasSeq(types, "out:verdict_req", "in:verdict", "out:open", "in:begin", "in:chunk", "in:end") {
-		t.Fatalf("inproc tap = %v", types)
-	}
-	var rebuilt []byte
-	for _, f := range tap.snapshot() {
-		info, _ := DecodeFrame(f.wire)
-		if info.Type == "chunk" {
-			rebuilt = append(rebuilt, info.Data...)
-		}
-		if f.sess == 0 {
-			t.Fatal("inproc tap minted no session ID")
-		}
-	}
-	if !bytes.Equal(rebuilt, doc) {
-		t.Fatalf("tapped chunks rebuild %d bytes, want %d", len(rebuilt), len(doc))
-	}
-}
-
 // TestDecodeFrameRoundTrip feeds every frame shape through the real
 // encoder and back through DecodeFrame.
 func TestDecodeFrameRoundTrip(t *testing.T) {

@@ -82,20 +82,13 @@ type Config struct {
 // subscriptions over a single connection; methods are safe for
 // concurrent use.
 type Conn struct {
-	c   net.Conn
-	wmu sync.Mutex // serializes frame writes
-	fw  frameWriter
+	endpoint // trace: minted at the hello, shared with the host
 
-	timeout   time.Duration // liveness window (0: no deadlines)
 	heartbeat time.Duration // ping-after-idle interval (0: no pings)
-	lastWrite atomic.Int64  // UnixNano of the most recent frame write
 	pingID    atomic.Uint32
 
 	window  int       // credit window granted per stream (chunks)
 	bufPool sync.Pool // *[]byte chunk/edit payload buffers, reused across frames
-
-	obs   *obs.Collector // telemetry sink (nil: no-op)
-	trace uint64         // trace ID minted at the hello, shared with the host
 
 	nextID  atomic.Uint32
 	mu      sync.Mutex // guards pending and doneErr
@@ -180,17 +173,13 @@ func grantWindow(cfg Config) (int, error) {
 // error return.
 func dialConn(nc net.Conn, cfg Config, win int) (*Conn, error) {
 	c := &Conn{
-		c:         nc,
-		fw:        frameWriter{w: nc},
-		timeout:   resolveLiveness(cfg.Timeout, DefaultTimeout),
 		heartbeat: resolveLiveness(cfg.Heartbeat, DefaultHeartbeat),
 		window:    win,
 		pending:   map[uint32]*waiter{},
 		done:      make(chan struct{}),
-		obs:       cfg.Obs,
-		trace:     obs.NewTraceID(),
 	}
-	c.fw.ob, c.fw.sess = cfg.Observer, c.trace
+	c.init(nc, resolveLiveness(cfg.Timeout, DefaultTimeout), cfg.Obs)
+	c.observeAs(cfg.Observer, obs.NewTraceID())
 	c.bufPool.New = func() any { return new([]byte) }
 	helloStart := spanClock(cfg.Obs)
 	if err := c.send(frame{
@@ -204,11 +193,8 @@ func dialConn(nc net.Conn, cfg Config, win int) (*Conn, error) {
 		nc.Close()
 		return nil, fmt.Errorf("transport: hello: %w", err)
 	}
-	fr := newFrameReader(nc)
-	fr.obs = cfg.Obs
-	fr.ob, fr.sess = cfg.Observer, c.trace
 	c.armReadDeadline()
-	f, err := fr.read()
+	f, err := c.fr.read()
 	if err != nil {
 		nc.Close()
 		if isTimeout(err) {
@@ -241,7 +227,7 @@ func dialConn(nc net.Conn, cfg Config, win int) (*Conn, error) {
 		return nil, fmt.Errorf("transport: unexpected hello response (frame type %d)", f.typ)
 	}
 	c.obs.Span(obs.Span{Trace: c.trace, Name: "hello", Start: helloStart, End: spanClock(cfg.Obs)})
-	go c.readLoop(fr)
+	go c.readLoop()
 	if c.heartbeat > 0 {
 		go c.heartbeatLoop()
 	}
@@ -258,14 +244,6 @@ func spanClock(c *obs.Collector) int64 {
 		return 0
 	}
 	return time.Now().UnixNano()
-}
-
-// armReadDeadline extends the liveness window by one timeout: the next
-// frame (any frame — a pong counts) must arrive within it.
-func (c *Conn) armReadDeadline() {
-	if c.timeout > 0 {
-		c.c.SetReadDeadline(time.Now().Add(c.timeout))
-	}
 }
 
 // heartbeatLoop keeps an idle session visibly alive: after a heartbeat
@@ -293,16 +271,11 @@ func (c *Conn) heartbeatLoop() {
 
 // readLoop dispatches incoming frames to their waiting request or
 // stream; frames for aborted or finished streams are dropped.
-func (c *Conn) readLoop(fr *frameReader) {
+func (c *Conn) readLoop() {
 	var err error
 	for {
 		var f frame
-		c.armReadDeadline()
-		f, err = fr.read()
-		if err != nil {
-			if isTimeout(err) {
-				err = &TimeoutError{Op: "read", After: c.timeout}
-			}
+		if f, err = c.read(); err != nil {
 			break
 		}
 		if f.typ == frameError {
@@ -310,15 +283,10 @@ func (c *Conn) readLoop(fr *frameReader) {
 			break
 		}
 		// Liveness frames are handled before stream dispatch: their token
-		// ids share nothing with stream ids and must not be routed.
-		if f.typ == framePing {
-			if c.send(frame{typ: framePong, id: f.id}) != nil {
-				continue // the write path's failure surfaces on the next read
-			}
+		// ids share nothing with stream ids and must not be routed. A
+		// failed echo surfaces on the next read.
+		if ok, _ := c.liveness(f); ok {
 			continue
-		}
-		if f.typ == framePong {
-			continue // the arrival itself refreshed the read deadline
 		}
 		c.mu.Lock()
 		w := c.pending[f.id]
@@ -384,28 +352,6 @@ func (c *Conn) unregister(id uint32) {
 	c.mu.Unlock()
 }
 
-// send writes one frame under the write lock, with the liveness
-// deadline armed: a peer that stops draining its socket fails the write
-// in bounded time instead of parking the sender forever.
-func (c *Conn) send(f frame) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.timeout > 0 {
-		c.c.SetWriteDeadline(time.Now().Add(c.timeout))
-	}
-	c.lastWrite.Store(time.Now().UnixNano())
-	start := c.obs.Nanos()
-	if err := c.fw.write(f); err != nil {
-		if isTimeout(err) {
-			return &TimeoutError{Op: "write", After: c.timeout}
-		}
-		return err
-	}
-	c.obs.Observe(obs.HFrameEncodeNs, c.obs.Nanos()-start)
-	c.obs.Add(obs.CFramesEncoded, 1)
-	return nil
-}
-
 // TraceID returns the session's trace ID: minted at Dial, carried in
 // the hello, and tagged onto every telemetry span both processes emit
 // for this session.
@@ -456,49 +402,19 @@ func (c *Conn) Verdict(ctx context.Context, fn string) (bool, error) {
 // Open requests fn's fragment stream and waits for the host to announce
 // it (a Begin frame carrying the total size).
 func (c *Conn) Open(ctx context.Context, fn string) (Fragment, error) {
-	id, w := c.register(c.streamSlots())
 	start := spanClock(c.obs)
-	if err := c.send(frame{typ: frameOpen, id: id, str: fn}); err != nil {
-		c.unregister(id)
+	r, f, err := c.announce(ctx, frame{typ: frameOpen, str: fn})
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case d := <-w.ch:
-		f := d.f
-		switch f.typ {
-		case frameBegin:
-			// The begin frame echoes the effective window the host will
-			// honor; a conforming host never raises the hello grant.
-			if f.win < 1 || int(f.win) > c.window {
-				c.unregister(id)
-				c.send(frame{typ: frameReject, id: id, str: "bad window echo"})
-				return nil, fmt.Errorf("transport: open %s: host announced window %d outside granted [1,%d]", fn, f.win, c.window)
-			}
-			c.obs.Span(obs.Span{Trace: c.trace, Name: "open", Frag: fn, Start: start, End: spanClock(c.obs), Bytes: int64(f.size)})
-			return &tcpFragment{conn: c, id: id, w: w, fn: fn, size: int(f.size), opened: spanClock(c.obs), acks: newAcks(f.win)}, nil
-		case frameStreamErr:
-			c.unregister(id)
-			return nil, fmt.Errorf("transport: open %s: %w", fn, streamError(f))
-		default:
-			c.unregister(id)
-			return nil, fmt.Errorf("transport: unexpected frame type %d opening %s", f.typ, fn)
-		}
-	case <-ctx.Done():
-		c.unregister(id)
-		// Halt the transfer the caller no longer wants; the host's
-		// stream goroutine would otherwise park on its first ack.
-		c.send(frame{typ: frameReject, id: id, str: "open canceled"})
-		return nil, ctx.Err()
-	case <-c.done:
-		c.unregister(id)
-		return nil, c.sessionErr()
-	}
+	c.obs.Span(obs.Span{Trace: c.trace, Name: "open", Frag: fn, Start: start, End: spanClock(c.obs), Bytes: int64(f.size)})
+	return &tcpFragment{chunkRecv: r, fn: fn, size: int(f.size), opened: spanClock(c.obs)}, nil
 }
 
 // Subscribe opens a live subscription on fn's edit log and waits for
 // the host to announce the snapshot cut.
 func (c *Conn) Subscribe(ctx context.Context, fn string) (EditFeed, error) {
-	return c.subscribe(ctx, fn, 0, frameSubscribe)
+	return c.subscribe(ctx, frame{typ: frameSubscribe, str: fn})
 }
 
 // Resubscribe reopens a live subscription after a disconnect: `after`
@@ -508,43 +424,63 @@ func (c *Conn) Subscribe(ctx context.Context, fn string) (EditFeed, error) {
 // full snapshot cut (the log was compacted past `after`) and the feed
 // behaves exactly like a new subscription.
 func (c *Conn) Resubscribe(ctx context.Context, fn string, after uint64) (EditFeed, error) {
-	return c.subscribe(ctx, fn, after, frameResume)
+	return c.subscribe(ctx, frame{typ: frameResume, ver: after, str: fn})
 }
 
-// subscribe is the shared subscription handshake: send the request
-// frame, wait for the subscribed announcement.
-func (c *Conn) subscribe(ctx context.Context, fn string, after uint64, typ frameType) (EditFeed, error) {
-	id, w := c.register(c.streamSlots())
-	if err := c.send(frame{typ: typ, id: id, ver: after, str: fn}); err != nil {
-		c.unregister(id)
+func (c *Conn) subscribe(ctx context.Context, req frame) (EditFeed, error) {
+	r, f, err := c.announce(ctx, req)
+	if err != nil {
 		return nil, err
 	}
+	return &tcpEditFeed{chunkRecv: r, base: f.ver, size: int(f.size), resumed: f.flag != 0}, nil
+}
+
+// announce is the stream handshake behind Open, Subscribe and
+// Resubscribe: register a stream, send its request (req, an open,
+// subscribe or resume frame), and wait for the host to announce it — a
+// begin frame for an open, a subscribed frame otherwise. The
+// announcement echoes the effective window the host will honor; a
+// conforming host never raises the hello grant. On success the stream's
+// chunks are received through the returned chunkRecv.
+func (c *Conn) announce(ctx context.Context, req frame) (chunkRecv, frame, error) {
+	want, op := frameBegin, "open"
+	if req.typ != frameOpen {
+		want, op = frameSubscribed, "subscribe"
+	}
+	id, w := c.register(c.streamSlots())
+	req.id = id
+	if err := c.send(req); err != nil {
+		c.unregister(id)
+		return chunkRecv{}, frame{}, err
+	}
+	var err error
+	var reject string // the reason a reject frame halts the host's sender
 	select {
 	case d := <-w.ch:
 		f := d.f
-		switch f.typ {
-		case frameSubscribed:
-			if f.win < 1 || int(f.win) > c.window {
-				c.unregister(id)
-				c.send(frame{typ: frameReject, id: id, str: "bad window echo"})
-				return nil, fmt.Errorf("transport: subscribe %s: host announced window %d outside granted [1,%d]", fn, f.win, c.window)
-			}
-			return &tcpEditFeed{conn: c, id: id, w: w, base: f.ver, size: int(f.size), resumed: f.flag != 0, acks: newAcks(f.win)}, nil
-		case frameStreamErr:
-			c.unregister(id)
-			return nil, fmt.Errorf("transport: subscribe %s: %w", fn, streamError(f))
+		switch {
+		case f.typ == frameStreamErr:
+			err = fmt.Errorf("transport: %s %s: %w", op, req.str, streamError(f))
+		case f.typ != want:
+			err = fmt.Errorf("transport: %s %s: unexpected frame type %d", op, req.str, f.typ)
+		case f.win < 1 || int(f.win) > c.window:
+			reject = "bad window echo"
+			err = fmt.Errorf("transport: %s %s: host announced window %d outside granted [1,%d]", op, req.str, f.win, c.window)
 		default:
-			c.unregister(id)
-			return nil, fmt.Errorf("transport: unexpected frame type %d subscribing to %s", f.typ, fn)
+			return chunkRecv{conn: c, id: id, w: w, acks: newAcks(int(f.win))}, f, nil
 		}
 	case <-ctx.Done():
-		c.unregister(id)
-		c.send(frame{typ: frameReject, id: id, str: "subscribe canceled"})
-		return nil, ctx.Err()
+		// Halt the transfer the caller no longer wants; the host's
+		// stream goroutine would otherwise park on its first ack.
+		reject, err = op+" canceled", ctx.Err()
 	case <-c.done:
-		c.unregister(id)
-		return nil, c.sessionErr()
+		err = c.sessionErr()
 	}
+	c.unregister(id)
+	if reject != "" {
+		c.send(frame{typ: frameReject, id: id, str: reject})
+	}
+	return chunkRecv{}, frame{}, err
 }
 
 // streamError rebuilds a stream-error frame's cause: a typed
@@ -560,14 +496,26 @@ func streamError(f frame) error {
 // acks is a receiver's cumulative-ack state for one credit-windowed
 // stream: a fragment, or a subscription's snapshot.
 type acks struct {
-	every     uint64 // ack once this many consumed chunks are unacked: max(1, window/2)
+	every     uint64 // ack once this many consumed chunks are unacked (ackEvery)
 	received  uint64 // chunks picked up so far
 	lastAcked uint64 // cumulative count in the last ack sent
 }
 
 // newAcks is the ack state for a stream whose effective window (the
 // host's begin or subscribed echo) is win.
-func newAcks(win uint32) acks { return acks{every: max(1, uint64(win)/2)} }
+func newAcks(win int) acks { return acks{every: ackEvery(win)} }
+
+// ackEvery is the receiver's ack threshold at window win: max(1, win/2)
+// consumed chunks per cumulative ack. The host reads the same rule to
+// know a stream's last ack (lastAck).
+func ackEvery(win int) uint64 { return uint64(max(1, win/2)) }
+
+// lastAck is the last cumulative ack a receiver that consumes all n
+// chunks of a stream at window win ever sends: ⌊n/t⌋·t, t = ackEvery(win).
+func lastAck(n uint64, win int) uint64 {
+	t := ackEvery(win)
+	return n / t * t
+}
 
 // settle runs before the receiver waits for its next chunk: once the
 // consumed but unacked chunks reach max(1, window/2), one cumulative ack
@@ -586,29 +534,48 @@ func (a *acks) settle(c *Conn, id uint32) error {
 	return c.send(frame{typ: frameAck, id: id, ver: a.lastAcked})
 }
 
-// tcpEditFeed is the receiver side of one TCP subscription: snapshot
-// chunks first (credit-windowed and cumulatively acked like a fragment
-// transfer), then edits (stop-and-wait, acked with their version).
-type tcpEditFeed struct {
-	conn    *Conn
-	id      uint32
-	w       *waiter
-	base    uint64
-	size    int
-	resumed bool
-
-	acks      acks    // snapshot chunks
-	prevChunk *[]byte // pooled buffer behind the last returned chunk
-	prevEdit  *[]byte // pooled buffer behind the last returned edit
-
-	owesEditAck bool
-	lastVer     uint64
-	closed      bool
+// chunkRecv is the receiver side of one credit-windowed chunk stream,
+// behind both Fragment.Next and the snapshot phase of EditFeed.NextChunk.
+type chunkRecv struct {
+	conn  *Conn
+	id    uint32
+	w     *waiter
+	acks  acks
+	prev  *[]byte // pooled buffer behind the last returned chunk
+	bytes int64   // payload bytes received so far
 }
 
-func (f *tcpEditFeed) Base() uint64      { return f.base }
-func (f *tcpEditFeed) SnapshotSize() int { return f.size }
-func (f *tcpEditFeed) Resumed() bool     { return f.resumed }
+// next acknowledges the chunks consumed so far, cumulatively, once
+// max(1, window/2) of them are unacked (acks.settle), and waits for the
+// stream's next chunk; the end frame is io.EOF. A receiver that rejects
+// after chunk k has never acked it, so the sender holds at most
+// window-1 further chunks of credit and serializes nothing past that.
+func (r *chunkRecv) next() ([]byte, error) {
+	r.conn.release(r.prev)
+	r.prev = nil
+	if err := r.acks.settle(r.conn, r.id); err != nil {
+		return nil, err
+	}
+	select {
+	case d := <-r.w.ch:
+		switch f := d.f; f.typ {
+		case frameChunk:
+			r.acks.received++
+			r.bytes += int64(len(f.data))
+			r.prev = d.buf
+			return f.data, nil
+		case frameEnd:
+			return nil, io.EOF
+		case frameStreamErr:
+			r.conn.unregister(r.id)
+			return nil, fmt.Errorf("transport: stream failed: %s", f.str)
+		default:
+			return nil, fmt.Errorf("transport: unexpected frame type %d mid-stream", f.typ)
+		}
+	case <-r.conn.done:
+		return nil, r.conn.sessionErr()
+	}
+}
 
 // release returns a pooled payload buffer once its chunk or edit is no
 // longer referenced by the caller.
@@ -618,35 +585,32 @@ func (c *Conn) release(bp *[]byte) {
 	}
 }
 
+// tcpEditFeed is the receiver side of one subscription: snapshot chunks
+// first (credit-windowed and cumulatively acked like a fragment
+// transfer), then edits (stop-and-wait, acked with their version).
+type tcpEditFeed struct {
+	chunkRecv // snapshot chunks
+	base      uint64
+	size      int
+	resumed   bool
+
+	prevEdit    *[]byte // pooled buffer behind the last returned edit
+	owesEditAck bool
+	lastVer     uint64
+	closed      bool
+}
+
+func (f *tcpEditFeed) Base() uint64      { return f.base }
+func (f *tcpEditFeed) SnapshotSize() int { return f.size }
+func (f *tcpEditFeed) Resumed() bool     { return f.resumed }
+
+// NextChunk returns the snapshot's next chunk; at its end the stream
+// stays registered for edits.
 func (f *tcpEditFeed) NextChunk() ([]byte, error) {
 	if f.closed {
 		return nil, fmt.Errorf("transport: read from closed subscription")
 	}
-	f.conn.release(f.prevChunk)
-	f.prevChunk = nil
-	if err := f.acks.settle(f.conn, f.id); err != nil {
-		return nil, err
-	}
-	select {
-	case d := <-f.w.ch:
-		fr := d.f
-		switch fr.typ {
-		case frameChunk:
-			f.acks.received++
-			f.prevChunk = d.buf
-			return fr.data, nil
-		case frameEnd:
-			// Snapshot complete; the stream stays registered for edits.
-			return nil, io.EOF
-		case frameStreamErr:
-			f.conn.unregister(f.id)
-			return nil, fmt.Errorf("transport: subscription failed: %s", fr.str)
-		default:
-			return nil, fmt.Errorf("transport: unexpected frame type %d in snapshot", fr.typ)
-		}
-	case <-f.conn.done:
-		return nil, f.conn.sessionErr()
-	}
+	return f.next()
 }
 
 func (f *tcpEditFeed) NextEdit(ctx context.Context) (EditFrame, error) {
@@ -713,63 +677,39 @@ func (c *Conn) Close() error {
 	return err
 }
 
-// tcpFragment is the receiver side of one TCP fragment stream.
+// tcpFragment is the receiver side of one fragment stream.
 type tcpFragment struct {
-	conn    *Conn
-	id      uint32
-	w       *waiter
+	chunkRecv
 	fn      string
 	size    int
 	opened  int64 // spanClock at open, for the chunks span
-	bytes   int64 // payload bytes received so far
-	acks    acks
-	prev    *[]byte // pooled buffer behind the last returned chunk
 	aborted bool
 }
 
 func (f *tcpFragment) Size() int { return f.size }
 
-// Next acknowledges the chunks consumed so far, cumulatively, once
-// max(1, window/2) of them are unacked (acks.settle), and waits for the
-// next one. A receiver that rejects after chunk k has never acked it, so
-// the sender holds at most window-1 further chunks of credit and
-// serializes nothing past that. With a window of 1 this is exactly the
-// stop-and-wait wire: one ack per chunk, sender parked in between.
+// Next returns the fragment's next chunk (chunkRecv.next); with a
+// window of 1 this is exactly the stop-and-wait wire: one ack per
+// chunk, sender parked in between.
 func (f *tcpFragment) Next() ([]byte, error) {
 	if f.aborted {
 		return nil, fmt.Errorf("transport: read from aborted stream")
 	}
-	f.conn.release(f.prev)
-	f.prev = nil
-	if err := f.acks.settle(f.conn, f.id); err != nil {
-		return nil, err
+	chunk, err := f.next()
+	if err == io.EOF {
+		f.conn.unregister(f.id)
+		f.span("")
 	}
-	select {
-	case d := <-f.w.ch:
-		fr := d.f
-		switch fr.typ {
-		case frameChunk:
-			f.acks.received++
-			f.bytes += int64(len(fr.data))
-			f.prev = d.buf
-			return fr.data, nil
-		case frameEnd:
-			f.conn.unregister(f.id)
-			f.conn.obs.Span(obs.Span{
-				Trace: f.conn.trace, Name: "chunks", Frag: f.fn,
-				Start: f.opened, End: spanClock(f.conn.obs),
-				Bytes: f.bytes, N: int64(f.acks.received),
-			})
-			return nil, io.EOF
-		case frameStreamErr:
-			f.conn.unregister(f.id)
-			return nil, fmt.Errorf("transport: stream failed: %s", fr.str)
-		default:
-			return nil, fmt.Errorf("transport: unexpected frame type %d mid-stream", fr.typ)
-		}
-	case <-f.conn.done:
-		return nil, f.conn.sessionErr()
-	}
+	return chunk, err
+}
+
+// span records the transfer's chunks span, ending now.
+func (f *tcpFragment) span(err string) {
+	f.conn.obs.Span(obs.Span{
+		Trace: f.conn.trace, Name: "chunks", Frag: f.fn,
+		Start: f.opened, End: spanClock(f.conn.obs),
+		Bytes: f.bytes, N: int64(f.acks.received), Err: err,
+	})
 }
 
 // DuplicateAck re-sends the last cumulative ack, verbatim. It exists
@@ -791,10 +731,6 @@ func (f *tcpFragment) Abort() {
 	}
 	f.aborted = true
 	f.conn.unregister(f.id)
-	f.conn.obs.Span(obs.Span{
-		Trace: f.conn.trace, Name: "chunks", Frag: f.fn,
-		Start: f.opened, End: spanClock(f.conn.obs),
-		Bytes: f.bytes, N: int64(f.acks.received), Err: "aborted",
-	})
+	f.span("aborted")
 	f.conn.send(frame{typ: frameReject, id: f.id, str: "rejected by receiver"})
 }

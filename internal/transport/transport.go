@@ -9,10 +9,12 @@
 // by direct calls, with chunks handed over as slices of the source's
 // bytes, kept because it is cheaper than the codec.
 //
-// Every wire has one observation seam: an Observer receives each frame
-// a session writes or reads (InProc synthesizes the frames its events
-// would put on the wire) and each abnormal session death, as an Event
-// that also carries the frame's protocol byte cost.
+// Every wire that carries frames has one observation seam: an Observer
+// receives each frame a session writes or reads and each abnormal
+// session death, as an Event that also carries the frame's protocol
+// byte cost. Both session ends speak through one framed endpoint (one
+// locked write with its deadline, one read deadline, one ping echo),
+// and every credit-windowed stream is received by one chunk receiver.
 //
 // The abstraction is asymmetric, matching the paper's model: resource
 // peers are passive *sources* (they answer verdict requests and stream

@@ -470,81 +470,100 @@ func TestRejectBeforeAck(t *testing.T) {
 // TestBatchedSendObserved: chunks go out one vectored write per credit
 // grant, and the observer still sees each chunk frame once, in order,
 // as exactly the bytes write encodes for it; the host's chunk counters
-// count chunks, not writes. The sent count matches the chunk count; the
-// acked count cannot (the final acks reach the host after the sender
-// has finished and unregistered the stream), but the sender only
-// finishes once acks cover all but one window. An unchunked transfer is
-// one chunk.
+// count chunks, not writes. The sent count matches the chunk count, and
+// every ack the receiver writes is counted: a delivered stream stays
+// registered until its last ack, ⌊N/t⌋·t with t = max(1, W/2), so the
+// acked count is exactly that and the RTT histogram holds one sample
+// per ack, ⌊N/t⌋. An unchunked transfer is one chunk.
 func TestBatchedSendObserved(t *testing.T) {
-	const win = 4
 	doc := blob(100*49 + 33)
-	for name, budget := range map[string]int{"budget=100": 100, "unchunked": math.MaxInt} {
-		t.Run(name, func(t *testing.T) {
-			n := (len(doc)-1)/min(budget, len(doc)) + 1
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			tap, hostObs := &memTap{}, obs.New()
-			digest := Digest("batched-send")
-			h := NewHost(ln, HostConfig{Digest: digest, Sources: map[string]Source{"f1": &fakeSource{blob: doc, verdict: true}},
-				Observer: tap, Obs: hostObs})
-			c, err := Dial(h.Addr().String(), Config{Digest: digest, Chunk: budget, Window: win})
-			if err != nil {
-				t.Fatal(err)
-			}
-			frag, err := c.Open(context.Background(), "f1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for {
-				if _, err := frag.Next(); err == io.EOF {
-					break
-				} else if err != nil {
-					t.Fatal(err)
-				}
-			}
-			id := frag.(*tcpFragment).id
-			c.Close()
-			h.Close() // waits for the session: every counter and event is in
-
-			var chunks, off int
-			for _, f := range tap.snapshot() {
-				info, err := DecodeFrame(f.wire)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if f.dir != Out || info.Type != "chunk" {
-					continue
-				}
-				want := nextChunk(doc, off, budget)
-				if info.Stream != id || !bytes.Equal(info.Data, want) {
-					t.Fatalf("chunk frame %d: stream %d, %d bytes; want stream %d, bytes %d..%d of the document",
-						chunks, info.Stream, len(info.Data), id, off, off+len(want))
-				}
-				var unbatched bytes.Buffer
-				fw := frameWriter{w: &unbatched}
-				if err := fw.write(frame{typ: frameChunk, id: id, data: want}); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(f.wire, unbatched.Bytes()) {
-					t.Fatalf("chunk frame %d: observed % x…, write encodes % x…", chunks, f.wire[:chunkHeaderSize], unbatched.Bytes()[:chunkHeaderSize])
-				}
-				chunks++
-				off += len(want)
-			}
-			if chunks != n || off != len(doc) {
-				t.Fatalf("observer saw %d chunk frames of %d bytes, want %d of %d", chunks, off, n, len(doc))
-			}
-			if sent := hostObs.Counter(obs.CChunksSent); sent != int64(n) {
-				t.Fatalf("CChunksSent = %d, want %d", sent, n)
-			}
-			if acked := hostObs.Counter(obs.CChunksAcked); acked < int64(n-win) || acked > int64(n) {
-				t.Fatalf("CChunksAcked = %d, want within [%d, %d]", acked, n-win, n)
-			}
-			if got := hostObs.Snapshot(obs.HChunkBytes); got.Count != int64(n) || got.Sum != int64(len(doc)) {
-				t.Fatalf("chunk-bytes histogram holds %d samples of %d bytes, want %d of %d", got.Count, got.Sum, n, len(doc))
+	for _, tc := range []struct {
+		name   string
+		budget int
+	}{{"budget=100", 100}, {"unchunked", math.MaxInt}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, win := range []int{1, 4, 32} {
+				t.Run(fmt.Sprintf("window=%d", win), func(t *testing.T) {
+					testBatchedSend(t, doc, tc.budget, win)
+				})
 			}
 		})
+	}
+}
+
+func testBatchedSend(t *testing.T, doc []byte, budget, win int) {
+	n := (len(doc)-1)/min(budget, len(doc)) + 1
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap, hostObs := &memTap{}, obs.New()
+	digest := Digest("batched-send")
+	h := NewHost(ln, HostConfig{Digest: digest, Sources: map[string]Source{"f1": &fakeSource{blob: doc, verdict: true}},
+		Observer: tap, Obs: hostObs})
+	c, err := Dial(h.Addr().String(), Config{Digest: digest, Chunk: budget, Window: win})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frag, err := c.Open(context.Background(), "f1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := frag.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The last ack went out before EOF; a verdict round trip behind it
+	// on the same session means the host has read it.
+	if _, err := c.Verdict(context.Background(), "f1"); err != nil {
+		t.Fatal(err)
+	}
+	id := frag.(*tcpFragment).id
+	c.Close()
+	h.Close() // waits for the session: every counter and event is in
+
+	var chunks, off int
+	for _, f := range tap.snapshot() {
+		info, err := DecodeFrame(f.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.dir != Out || info.Type != "chunk" {
+			continue
+		}
+		want := nextChunk(doc, off, budget)
+		if info.Stream != id || !bytes.Equal(info.Data, want) {
+			t.Fatalf("chunk frame %d: stream %d, %d bytes; want stream %d, bytes %d..%d of the document",
+				chunks, info.Stream, len(info.Data), id, off, off+len(want))
+		}
+		var unbatched bytes.Buffer
+		fw := frameWriter{w: &unbatched}
+		if err := fw.write(frame{typ: frameChunk, id: id, data: want}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(f.wire, unbatched.Bytes()) {
+			t.Fatalf("chunk frame %d: observed % x…, write encodes % x…", chunks, f.wire[:chunkHeaderSize], unbatched.Bytes()[:chunkHeaderSize])
+		}
+		chunks++
+		off += len(want)
+	}
+	if chunks != n || off != len(doc) {
+		t.Fatalf("observer saw %d chunk frames of %d bytes, want %d of %d", chunks, off, n, len(doc))
+	}
+	if sent := hostObs.Counter(obs.CChunksSent); sent != int64(n) {
+		t.Fatalf("CChunksSent = %d, want %d", sent, n)
+	}
+	every := max(1, win/2)
+	if acked, want := hostObs.Counter(obs.CChunksAcked), int64(n/every*every); acked != want {
+		t.Fatalf("CChunksAcked = %d, want %d", acked, want)
+	}
+	if rtts, want := hostObs.Snapshot(obs.HChunkRTTNs).Count, int64(n/every); rtts != want {
+		t.Fatalf("chunk-RTT histogram holds %d samples, want %d", rtts, want)
+	}
+	if got := hostObs.Snapshot(obs.HChunkBytes); got.Count != int64(n) || got.Sum != int64(len(doc)) {
+		t.Fatalf("chunk-bytes histogram holds %d samples of %d bytes, want %d of %d", got.Count, got.Sum, n, len(doc))
 	}
 }
